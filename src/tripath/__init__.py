@@ -21,6 +21,7 @@ from .classify import (
 from .errors import (
     DegeneratePairError,
     InvalidReflectivityError,
+    NonFiniteError,
     TableInconsistencyError,
     TripathError,
     UnknownPathError,
@@ -68,6 +69,7 @@ __all__ = [
     "InvalidReflectivityError",
     "KDPair",
     "KDProfile",
+    "NonFiniteError",
     "OUTER_PATHS",
     "PATH_NAMES",
     "PathSystem",

@@ -1,10 +1,12 @@
-"""Classification of rays by the signs of their ten quasi-probabilities.
+"""Classification of rays by the signs of their ten path amplitudes.
 
-The ten zero-probability great circles cut the ray sphere into 31
-polygons.  Inside each polygon the ten canonical quasi-probabilities
-keep fixed signs, so the sign pattern identifies the polygon.  The
-polygons group into six classes by their negativity counts
-(inner negatives / outer negatives):
+The ten zero-probability great circles P(path) = 0 cut the ray sphere
+into 31 polygons, the cells of that circle arrangement.  Inside a cell
+no path amplitude A_k = <k|psi> changes sign, so the ten amplitude
+signs, taken up to a global flip, name the cell.  The ten canonical
+quasi-probabilities rho(a, b) = <a|b> A_a A_b keep fixed signs too.
+Their sign patterns group the cells into six classes by negativity
+counts (inner negatives / outer negatives):
 
     N 5/0   V 4/0   B 3/0   T 2/2   X 1/2   Q 0/2
 
@@ -20,25 +22,30 @@ pairs are exactly (i,k) and (j,k) for each trajectory {i, k, j}:
 
 The sub-class table is built numerically: for each polygon, average the
 corner rays (signs aligned first), normalize, and read off the interior
-sign pattern.  States on a boundary produce zero entries in their
-pattern; classification then reports every sub-class whose pattern is
-consistent with some resolution of the zeros.  At high order corners
-this consistency set can be larger than the set of polygons that
-actually touch the corner.
+amplitude signs and KD sign pattern.  The ten canonical pairs form the
+outer 5-cycle 1-f-2-S1-S2 with one inner path hanging off each outer
+path, so the KD signs fix the amplitude signs up to a global flip, and
+the first nine pairs, a spanning tree of that graph, already do: their
+signs give a 9-bit cell code, 512 codes of which 31 are sub-classes.
+The tenth pair closes the cycle; its sign follows from the others.
+
+A ray with amplitudes within tol of zero lies on those circles.  It is
+given every sub-class whose cell agrees with its other amplitude signs:
+exactly the sub-classes that touch it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import TableInconsistencyError, UnknownPatternError
-from .hilbert import RayState
-from .kd import KD_PAIRS, KDProfile, kd_profile, profile_values_batch
+from .hilbert import RayState, normalize
 from .interferometer import PathSystem, default_system
+from .kd import KDProfile, _kd_kernel, profile_values_batch
 from .states import canonical_states
 
 DEFAULT_TOL = 1e-9
@@ -133,11 +140,9 @@ POLYGON_CORNERS: tuple[tuple[ClassLabel, tuple[str, ...]], ...] = (
 
 ALL_LABELS: tuple[ClassLabel, ...] = tuple(label for label, _ in POLYGON_CORNERS)
 
-_POW3 = 3 ** np.arange(len(KD_PAIRS))
-
-
-def _pattern_code(pattern: SignPattern) -> int:
-    return int(sum((t + 1) * p for t, p in zip(pattern, _POW3)))
+def _cell_codes(values: np.ndarray) -> np.ndarray:
+    """Cell code of each row of strict KD values: the signs of the first nine pairs."""
+    return (values[:, :9] > 0).astype(np.int16) @ (1 << np.arange(9, dtype=np.int16))
 
 
 def polygon_centroid(corners: tuple[str, ...], system: PathSystem) -> RayState:
@@ -151,20 +156,28 @@ def polygon_centroid(corners: tuple[str, ...], system: PathSystem) -> RayState:
     acc = vectors[0].copy()
     for v in vectors[1:]:
         acc += -v if float(acc @ v) < 0 else v
-    from .hilbert import normalize
-
     return normalize(acc)
 
 
 @dataclass(frozen=True)
 class SubclassTable:
-    """Strict sign pattern of every sub-class interior."""
+    """Strict KD sign pattern and amplitude cell of every sub-class.
+
+    ``cell_labels`` maps each of the 512 cell codes to an index into
+    ``labels``, or -1 where no sub-class lies; ``cell_signs`` holds the
+    amplitude signs of each sub-class, in label order.
+    """
 
     labels: tuple[ClassLabel, ...]
     patterns: tuple[SignPattern, ...]
+    cell_labels: np.ndarray = field(repr=False, compare=False)
+    cell_signs: np.ndarray = field(repr=False, compare=False)
 
     def label_for(self, pattern: SignPattern) -> ClassLabel | None:
-        return self._by_pattern().get(pattern)
+        try:
+            return self.labels[self.patterns.index(pattern)]
+        except ValueError:
+            return None
 
     def pattern_for(self, label: ClassLabel) -> SignPattern:
         try:
@@ -172,25 +185,13 @@ class SubclassTable:
         except ValueError:
             raise KeyError(str(label)) from None
 
-    @lru_cache(maxsize=None)
-    def _by_pattern(self) -> dict[SignPattern, ClassLabel]:
-        return dict(zip(self.patterns, self.labels))
-
-    @lru_cache(maxsize=None)
-    def code_lookup(self) -> np.ndarray:
-        """Dense base-3 code table mapping strict patterns to label indices."""
-        lut = np.full(3 ** len(KD_PAIRS), -1, dtype=np.int16)
-        for i, pattern in enumerate(self.patterns):
-            lut[_pattern_code(pattern)] = i
-        return lut
-
 
 def build_subclass_table(system: PathSystem | None = None) -> SubclassTable:
-    """Compute the 31 interior sign patterns from the polygon corners.
+    """Compute the 31 interior sign patterns and the cell of each.
 
     Raises TableInconsistencyError if any centroid sits too close to a
-    boundary, violates its class negativity signature, or if two
-    polygons produce the same pattern.
+    boundary or violates its class negativity signature, or unless each
+    sub-class owns exactly one cell.
     """
     if system is None:
         system = default_system()
@@ -201,14 +202,15 @@ def build_subclass_table(system: PathSystem | None = None) -> SubclassTable:
 def _build_table_cached(system: PathSystem) -> SubclassTable:
     labels = []
     patterns: list[SignPattern] = []
+    signs = []
     for label, corners in POLYGON_CORNERS:
         centroid = polygon_centroid(corners, system)
-        profile = kd_profile(centroid, system)
-        if min(abs(v) for v in profile.values) <= 1e-6:
+        amps, values = _kd_kernel(centroid.vector[None, :], system)
+        if np.abs(values).min() <= 1e-6:
             raise TableInconsistencyError(
                 f"centroid of {label} is not strictly interior"
             )
-        pattern = sign_pattern(profile, tol=1e-6)
+        pattern = sign_pattern(KDProfile(state=centroid, values=tuple(values[0].tolist())), tol=1e-6)
         inner_neg = sum(1 for t in pattern[:5] if t < 0)
         outer_neg = sum(1 for t in pattern[5:] if t < 0)
         if (inner_neg, outer_neg) != NEGATIVITY_SIGNATURE[label.cls]:
@@ -217,14 +219,27 @@ def _build_table_cached(system: PathSystem) -> SubclassTable:
             )
         labels.append(label)
         patterns.append(pattern)
-    if len(set(patterns)) != len(patterns):
-        raise TableInconsistencyError("duplicate interior sign patterns")
-    return SubclassTable(labels=tuple(labels), patterns=tuple(patterns))
+        signs.append(np.sign(amps[0]))
+    codes = _cell_codes(np.array(patterns))
+    if len(set(codes.tolist())) != len(codes):
+        raise TableInconsistencyError("two sub-classes share one cell")
+    cell_labels = np.full(1 << 9, -1, dtype=np.int16)
+    cell_labels[codes] = np.arange(len(labels))
+    return SubclassTable(
+        labels=tuple(labels),
+        patterns=tuple(patterns),
+        cell_labels=cell_labels,
+        cell_signs=np.array(signs),
+    )
 
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Sign pattern of a state and every sub-class consistent with it."""
+    """KD sign pattern of a state and every sub-class whose cell holds or touches it.
+
+    ``pattern`` has a zero wherever a quasi-probability lies within tol
+    of zero; ``is_boundary`` says whether it has any.
+    """
 
     state: RayState
     pattern: SignPattern
@@ -245,43 +260,31 @@ class ClassificationResult:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _expansions(pattern: SignPattern) -> list[SignPattern]:
-    zeros = [i for i, t in enumerate(pattern) if t == 0]
-    out = []
-    for mask in range(1 << len(zeros)):
-        p = list(pattern)
-        for j, idx in enumerate(zeros):
-            p[idx] = 1 if mask & (1 << j) else -1
-        out.append(tuple(p))
-    return out
-
-
 def classify(
     psi: RayState,
     system: PathSystem | None = None,
     tol: float = DEFAULT_TOL,
 ) -> ClassificationResult:
-    """Classify a ray by its quasi-probability sign pattern.
+    """Classify a ray by the signs of its path amplitudes.
 
-    Interior states resolve to a single sub-class.  Values within
-    ``tol`` of zero are treated as boundary entries and expanded both
-    ways, collecting every consistent sub-class.
+    Amplitudes within ``tol`` of zero are left free; every sub-class
+    whose cell agrees with the other signs, up to a global flip, is
+    collected.  An interior ray matches exactly one cell, a boundary ray
+    exactly the cells that touch it.
     """
     if system is None:
         system = default_system()
     table = build_subclass_table(system)
-    profile = kd_profile(psi, system)
-    pattern = sign_pattern(profile, tol)
-    found = set()
-    for candidate in _expansions(pattern):
-        label = table.label_for(candidate)
-        if label is not None:
-            found.add(label)
+    amps, values = _kd_kernel(psi.vector[None, :], system)
+    pattern = sign_pattern(KDProfile(state=psi, values=tuple(values[0].tolist())), tol)
+    fixed = np.abs(amps[0]) > tol
+    agree = np.abs(table.cell_signs[:, fixed] @ np.sign(amps[0, fixed])) == fixed.sum()
+    found = frozenset(label for label, ok in zip(table.labels, agree) if ok)
     if not found:
         raise UnknownPatternError(
-            f"pattern {pattern_string(pattern)} matches no sub-class"
+            f"amplitude signs of {psi} (pattern {pattern_string(pattern)}) match no sub-class"
         )
-    return ClassificationResult(state=psi, pattern=pattern, labels=frozenset(found))
+    return ClassificationResult(state=psi, pattern=pattern, labels=found)
 
 
 def classify_batch(
@@ -291,21 +294,23 @@ def classify_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized strict classification of many unit vectors.
 
-    Returns (boundary_mask, label_index) arrays; label_index is -1 where
-    the pattern has zeros (boundary) and otherwise indexes ALL_LABELS.
-    Raises UnknownPatternError if any strict pattern is unknown.
+    Returns (boundary_mask, label_index) arrays.  A row is boundary when
+    any quasi-probability lies within ``tol`` of zero; its label_index is
+    -1, and otherwise indexes ALL_LABELS.  Raises NonFiniteError or
+    UnknownPatternError naming the offending rows.
     """
     if system is None:
         system = default_system()
     table = build_subclass_table(system)
     values = profile_values_batch(vectors, system)
-    trits = np.where(np.abs(values) <= tol, 0, np.sign(values)).astype(np.int64)
-    boundary = np.any(trits == 0, axis=1)
-    codes = ((trits + 1) * _POW3).sum(axis=1)
-    idx = table.code_lookup()[codes]
+    boundary = (np.abs(values) <= tol).any(axis=1)
+    idx = table.cell_labels[_cell_codes(values)]
     idx[boundary] = -1
-    if np.any((idx < 0) & ~boundary):
-        raise UnknownPatternError("strict pattern outside the sub-class table")
+    unknown = np.flatnonzero((idx < 0) & ~boundary)
+    if len(unknown):
+        raise UnknownPatternError(
+            f"strict pattern outside the sub-class table in rows {unknown[:10].tolist()}"
+        )
     return boundary, idx
 
 

@@ -91,9 +91,9 @@ def _state_from_args(args) -> tuple[RayState, str]:
         norm = float(np.linalg.norm(vec))
         if norm <= 1e-12:
             raise _UsageError("amplitudes give the zero vector")
+        canonical = normalize(vec)
         if abs(norm - 1.0) > 1e-9:
             print(f"note: normalizing amplitudes (norm was {norm:.12g})", file=sys.stderr)
-        canonical = normalize(vec)
         # keep the sign the caller typed
         if float(vec @ canonical.vector) < 0:
             canonical = canonical.flipped()

@@ -11,6 +11,10 @@ class ZeroVectorError(TripathError, ValueError):
     """Raised when a vector with (near) zero norm cannot be normalized."""
 
 
+class NonFiniteError(TripathError, ValueError):
+    """Raised when coefficients hold a NaN or an infinity."""
+
+
 class DegeneratePairError(TripathError, ValueError):
     """Raised when two rays are too close to parallel, or otherwise
     degenerate for the requested construction."""

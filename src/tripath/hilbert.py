@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePairError, ZeroVectorError
+from .errors import DegeneratePairError, NonFiniteError, ZeroVectorError
 
 COEFF_TOL = 1e-12
 
@@ -33,7 +33,7 @@ class RayState:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.c1 * self.c1 + self.c2 * self.c2 + self.c3 * self.c3)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN
             raise ValueError(f"ray coefficients have norm {norm!r}, expected 1")
 
     @property
@@ -85,12 +85,16 @@ def normalize(v: Sequence[float] | np.ndarray) -> RayState:
 
     Raises
     ------
+    NonFiniteError
+        If ``v`` holds a NaN or an infinity.
     ZeroVectorError
         If the norm of ``v`` is at or below 1e-12.
     """
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"cannot normalize non-finite coefficients {arr.tolist()}")
     norm = float(np.linalg.norm(arr))
     if norm <= 1e-12:
         raise ZeroVectorError("cannot normalize a vector of norm <= 1e-12")
@@ -142,33 +146,11 @@ def hemisphere_project(psi: RayState | Sequence[float]) -> SpherePoint:
     return SpherePoint(float(v[1]), float(v[2]))
 
 
-def great_circle(axis: RayState | Sequence[float], n: int) -> list[RayState]:
-    """Sample ``n`` rays orthogonal to ``axis``, uniform in angle.
-
-    The samples cover the full circle, so for even ``n`` antipodal
-    samples describe the same ray twice.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 samples on a great circle")
-    a = _as_array(axis)
-    a = a / np.linalg.norm(a)
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(a)))] = 1.0
-    e1 = seed - np.dot(seed, a) * a
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(a, e1)
-    angles = 2.0 * np.pi * np.arange(n) / n
-    return [
-        normalize(np.cos(t) * e1 + np.sin(t) * e2)
-        for t in angles
-    ]
-
-
 def circle_points(axis: RayState | Sequence[float], n: int) -> np.ndarray:
-    """Raw (n, 3) samples of the great circle orthogonal to ``axis``.
+    """Raw (n, 3) samples of the great circle orthogonal to ``axis``, uniform in angle.
 
-    Unlike :func:`great_circle` the points keep their parametrization
-    sign, which renderers need for continuous polylines.
+    The points keep their parametrization sign, which renderers need for
+    continuous polylines.
     """
     a = _as_array(axis)
     a = a / np.linalg.norm(a)

@@ -15,11 +15,12 @@ each occur in exactly one non-contextual photon trajectory, and five
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DegeneratePairError, UnknownPathError
+from .errors import DegeneratePairError, NonFiniteError, UnknownPathError
 from .hilbert import RayState, inner, normalize
 from .interferometer import (
     INNER_PATHS,
@@ -107,27 +108,50 @@ def kd_value(psi: RayState, a: str, b: str, system: PathSystem | None = None) ->
     return inner(vb, va) * inner(va, psi) * inner(psi, vb)
 
 
-def kd_profile(psi: RayState, system: PathSystem | None = None) -> KDProfile:
-    """All ten canonical quasi-probabilities of ``psi``."""
+@lru_cache(maxsize=4)
+def _pair_geometry(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Path matrix, pair index arrays and the ten overlaps <a|b>, in KD_PAIRS order."""
+    paths = system.matrix()
+    ia = np.array([PATH_NAMES.index(p.a) for p in KD_PAIRS])
+    ib = np.array([PATH_NAMES.index(p.b) for p in KD_PAIRS])
+    overlaps = np.array([float(paths[a] @ paths[b]) for a, b in zip(ia, ib)])
+    return paths, ia, ib, overlaps
+
+
+def _kd_kernel(vectors: np.ndarray, system: PathSystem | None) -> tuple[np.ndarray, np.ndarray]:
+    """Path amplitudes <path|psi> (columns in PATH_NAMES order) and KD values of many rows."""
     if system is None:
         system = default_system()
-    values = tuple(kd_value(psi, p.a, p.b, system) for p in KD_PAIRS)
-    return KDProfile(state=psi, values=values)
+    paths, ia, ib, overlaps = _pair_geometry(system)
+    vectors = np.asarray(vectors, dtype=float)
+    if not np.isfinite(vectors).all():
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        raise NonFiniteError(f"non-finite coefficients in {len(bad)} rows, first {bad[:10].tolist()}")
+    if len(vectors) == 1:
+        # A one-row product runs through BLAS gemv, whose last bits differ
+        # from the gemm used for two or more rows; a doubled row keeps
+        # every value independent of the batch size.
+        amps = (np.concatenate([vectors, vectors]) @ paths.T)[:1]
+    else:
+        amps = vectors @ paths.T
+    values = amps[:, ia]
+    values *= overlaps
+    values *= amps[:, ib]
+    return amps, values
 
 
 def profile_values_batch(vectors: np.ndarray, system: PathSystem | None = None) -> np.ndarray:
-    """Profiles of many unit vectors at once; rows follow KD_PAIRS order."""
-    if system is None:
-        system = default_system()
-    paths = system.matrix()
-    idx = {n: i for i, n in enumerate(PATH_NAMES)}
-    amps = np.asarray(vectors, dtype=float) @ paths.T
-    out = np.empty((amps.shape[0], len(KD_PAIRS)))
-    for j, p in enumerate(KD_PAIRS):
-        ia, ib = idx[p.a], idx[p.b]
-        overlap = float(paths[ia] @ paths[ib])
-        out[:, j] = overlap * amps[:, ia] * amps[:, ib]
-    return out
+    """Profiles of many unit vectors at once; rows follow KD_PAIRS order.
+
+    Raises NonFiniteError naming the rows that hold a NaN or infinity.
+    """
+    return _kd_kernel(vectors, system)[1]
+
+
+def kd_profile(psi: RayState, system: PathSystem | None = None) -> KDProfile:
+    """All ten canonical quasi-probabilities of ``psi``: one row of the batch kernel."""
+    values = _kd_kernel(psi.vector[None, :], system)[1][0]
+    return KDProfile(state=psi, values=tuple(values.tolist()))
 
 
 def decompose_outer(
@@ -162,40 +186,6 @@ def inequality_sum(psi: RayState, system: PathSystem | None = None) -> float:
     )
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi rotations.
-
-    Returns eigenvalues in ascending order and the matching eigenvectors
-    as columns.  Iterates full sweeps until the off-diagonal norm drops
-    below ``tol``.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("jacobi_eigh expects a symmetric matrix")
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order], v[:, order]
-
-
 def inequality_operator(system: PathSystem | None = None) -> np.ndarray:
     """Sum of the five inner path projectors."""
     if system is None:
@@ -214,7 +204,7 @@ def max_violation(system: PathSystem | None = None) -> tuple[RayState, float]:
     """
     if system is None:
         system = default_system()
-    vals, vecs = jacobi_eigh(inequality_operator(system))
+    vals, vecs = np.linalg.eigh(inequality_operator(system))
     state = normalize(vecs[:, 0])
     return state, float(1.0 - vals[0])
 

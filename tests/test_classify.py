@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from tripath import classify, kd
+from tripath import classify, kd, states
 from tripath.classify import ClassLabel
-from tripath.hilbert import normalize
+from tripath.errors import NonFiniteError
+from tripath.hilbert import inner, normalize
+from tripath.interferometer import PATH_NAMES
 
 from conftest import random_unit_vectors
 
@@ -99,6 +101,23 @@ def test_path_state_classes(system):
 
     result = classify.classify(system.ray("3"), system)
     assert {l.cls for l in result.labels} == {"T", "X", "Q"}
+    assert {str(l) for l in result.labels} == {"Q(f,3)", "T(S1,S2)", "X(S1,3)", "X(S2,3)"}
+
+
+def test_boundary_labels_are_the_touching_cells(system, named):
+    # a state's labels are exactly the sub-classes found on small
+    # perturbations; tol=0 because two perturbed zero amplitudes give
+    # KD values near 1e-12, inside the default band
+    rays = {name: state.ray for name, state in named.items()}
+    rays.update((b.name, b.ray) for b in states.joint_basis(system))
+    assert len(rays) == 23
+    rng = np.random.default_rng(5)
+    for name, ray in rays.items():
+        moved = ray.vector + rng.normal(size=(4000, 3)) * 1e-6
+        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+        boundary, idx = classify.classify_batch(moved, system, tol=0.0)
+        touching = {classify.ALL_LABELS[i] for i in idx[~boundary]}
+        assert classify.classify(ray, system).labels == touching, name
 
 
 def test_tol_widening_collects_all_subclasses(system):
@@ -150,8 +169,25 @@ def test_table_rebuild_is_deterministic(system, table):
     assert again.patterns == table.patterns
 
 
-def test_code_lookup_table(table):
-    lut = table.code_lookup()
-    assert lut.shape == (3**10,)
-    assert (lut >= -1).all()
-    assert int((lut >= 0).sum()) == 31
+def test_cell_table(system, table):
+    # bit j of a cell code is set when KD pair j is positive (j < 9); the
+    # amplitude signs of each cell rebuild the sub-class's whole pattern
+    assert table.cell_labels.shape == (512,)
+    assert int((table.cell_labels >= 0).sum()) == 31
+    for i, label in enumerate(table.labels):
+        (code,) = np.flatnonzero(table.cell_labels == i)
+        pattern = table.pattern_for(label)
+        assert [1 if code >> j & 1 else -1 for j in range(9)] == list(pattern[:9])
+        sign = dict(zip(PATH_NAMES, table.cell_signs[i]))
+        rebuilt = tuple(
+            int(np.sign(inner(system.ray(p.a), system.ray(p.b)))) * int(sign[p.a] * sign[p.b])
+            for p in kd.KD_PAIRS
+        )
+        assert rebuilt == pattern, str(label)
+
+
+def test_batch_names_non_finite_rows(system):
+    vectors = np.tile([0.0, 1.0, 0.0], (4, 1))
+    vectors[2, 1] = np.nan
+    with pytest.raises(NonFiniteError, match=r"\[2\]"):
+        classify.classify_batch(vectors, system)

@@ -129,6 +129,13 @@ def test_bad_amplitudes():
     assert "zero vector" in proc.stderr
 
 
+def test_non_finite_amplitudes():
+    for amplitudes in ("nan,1,1", "inf,1,1"):
+        proc = run_cli("classify", "--amplitudes", amplitudes)
+        assert proc.returncode == 1
+        assert "non-finite" in proc.stderr
+
+
 def test_usage_errors_exit_1():
     assert run_cli().returncode == 1
     assert run_cli("frobnicate").returncode == 1

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripath import hilbert
-from tripath.errors import DegeneratePairError, ZeroVectorError
+from tripath.errors import DegeneratePairError, NonFiniteError, ZeroVectorError
 from tripath.hilbert import (
     RayState,
     SpherePoint,
-    great_circle,
     hemisphere_project,
     inner,
     normalize,
@@ -41,9 +40,17 @@ def test_normalize_rejects_zero_vector():
         normalize([1e-13, 0.0, 0.0])
 
 
+def test_normalize_rejects_non_finite():
+    for bad in ([math.nan, 1.0, 1.0], [1.0, -math.inf, 1.0]):
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            normalize(bad)
+
+
 def test_ray_state_requires_unit_norm():
     with pytest.raises(ValueError):
         RayState(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        RayState(math.nan, 0.0, 0.0)
     RayState(1.0, 0.0, 0.0)  # exact unit vector passes
 
 
@@ -111,18 +118,6 @@ def test_sphere_point_validation():
     SpherePoint(0.6, 0.8)
     with pytest.raises(ValueError):
         SpherePoint(0.9, 0.9)
-
-
-def test_great_circle_properties():
-    axis = normalize([1, 1, 1])
-    pts = great_circle(axis, 36)
-    assert len(pts) == 36
-    for p in pts:
-        assert abs(inner(p, axis)) < 1e-12
-    # distinct rays, not repeated endpoints
-    assert not same_ray(pts[0], pts[1])
-    with pytest.raises(ValueError):
-        great_circle(axis, 1)
 
 
 def test_circle_points_continuity():

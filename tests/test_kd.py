@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripath import kd
-from tripath.errors import DegeneratePairError, UnknownPathError
-from tripath.hilbert import inner, normalize, same_ray
+from tripath.errors import DegeneratePairError, NonFiniteError, UnknownPathError
+from tripath.hilbert import RayState, inner, normalize, same_ray
 from tripath.interferometer import INNER_PATHS, OUTER_PATHS, probabilities
 
 from conftest import brute_force_min_inner_sum, random_unit_vectors
@@ -55,6 +55,25 @@ def test_profile_batch_matches_loop(system, rng):
     for row, v in zip(batch[:50], vectors[:50]):
         profile = kd.kd_profile(normalize(v), system)
         assert np.allclose(row, profile.values, atol=1e-14)
+
+
+def test_kernel_rows_do_not_depend_on_batch_size(system, rng):
+    # bit for bit: a one-row call, a row of a large batch and kd_profile agree
+    vectors = random_unit_vectors(rng, 300)
+    batch = kd.profile_values_batch(vectors, system)
+    for k, v in enumerate(vectors):
+        single = kd.profile_values_batch(vectors[k : k + 1], system)[0]
+        profile = kd.kd_profile(RayState(*v), system)
+        assert single.tobytes() == batch[k].tobytes()
+        assert np.array(profile.values).tobytes() == batch[k].tobytes()
+
+
+def test_batch_names_non_finite_rows(system):
+    vectors = np.tile([1.0, 0.0, 0.0], (5, 1))
+    vectors[1, 2] = np.nan
+    vectors[3, 0] = np.inf
+    with pytest.raises(NonFiniteError, match=r"\[1, 3\]"):
+        kd.profile_values_batch(vectors, system)
 
 
 def test_sign_flip_invariance(system, rng):
@@ -168,20 +187,6 @@ def test_inequality_sum_equals_inner_probabilities(system, rng):
         assert kd.inequality_sum(psi, system) == pytest.approx(want, abs=1e-12)
 
 
-def test_jacobi_against_library(rng):
-    # hand-rolled Jacobi sweep vs the library solver
-    for _ in range(100):
-        m = rng.normal(size=(3, 3))
-        m = m + m.T
-        vals, vecs = kd.jacobi_eigh(m)
-        ref_vals, _ = np.linalg.eigh(m)
-        assert np.allclose(vals, ref_vals, atol=1e-10)
-        assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
-        assert np.allclose(m @ vecs, vecs @ np.diag(vals), atol=1e-10)
-    with pytest.raises(ValueError):
-        kd.jacobi_eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
 def test_inequality_operator(system):
     m = kd.inequality_operator(system)
     assert np.allclose(m, m.T, atol=1e-15)
@@ -191,7 +196,7 @@ def test_inequality_operator(system):
 
 def test_max_violation_value(system):
     state, violation = kd.max_violation(system)
-    assert violation == pytest.approx(math.sqrt(11 / 12) - 0.5, abs=1e-9)
+    assert violation == pytest.approx(math.sqrt(11 / 12) - 0.5, abs=1e-12)
     probs = probabilities(state, system)
     assert probs["1"] == pytest.approx(probs["2"], abs=1e-9)
     assert probs["1"] == pytest.approx(0.4676, abs=5e-4)
