@@ -58,6 +58,12 @@ def test_basis_json_golden():
     assert proc.stdout == (GOLDEN / "basis.json").read_text()
 
 
+def test_verify_json_golden():
+    proc = run_cli("verify", "--json")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "verify.json").read_text()
+
+
 def test_kd_csv():
     proc = run_cli("kd", "--state", "N_2", "--csv")
     rows = list(csv.reader(io.StringIO(proc.stdout)))
