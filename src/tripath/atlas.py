@@ -29,7 +29,7 @@ from .errors import UnsupportedFormatError
 from .hilbert import circle_points, hemisphere_project
 from .interferometer import PATH_NAMES, PathSystem, default_system, probabilities
 from .kd import KD_PAIRS, inequality_sum, kd_profile
-from .states import BASIS_ORDER, N_STATE_ORDER, THETA_ORDER, canonical_states, joint_basis
+from .states import N_STATE_ORDER, THETA_ORDER, canonical_states, joint_basis
 
 # Label index values below zero mark non-region pixels.
 BOUNDARY = -1

@@ -36,7 +36,6 @@ exactly the sub-classes that touch it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -50,7 +49,10 @@ from .states import canonical_states
 
 DEFAULT_TOL = 1e-9
 
-CLASS_NAMES = ("N", "V", "B", "T", "X", "Q")
+# Smallest boundary band: a ray exactly on a circle keeps a rounding
+# residue of a few eps in its amplitudes and KD values, so a smaller tol
+# is raised to this one.
+TOL_FLOOR = 16 * np.finfo(float).eps
 
 # Expected (inner, outer) negativity counts per class.
 NEGATIVITY_SIGNATURE = {
@@ -256,9 +258,6 @@ class ClassificationResult:
             "labels": sorted(str(l) for l in self.labels),
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def classify(
     psi: RayState,
@@ -270,10 +269,12 @@ def classify(
     Amplitudes within ``tol`` of zero are left free; every sub-class
     whose cell agrees with the other signs, up to a global flip, is
     collected.  An interior ray matches exactly one cell, a boundary ray
-    exactly the cells that touch it.
+    exactly the cells that touch it.  A ``tol`` below TOL_FLOOR counts
+    as TOL_FLOOR.
     """
     if system is None:
         system = default_system()
+    tol = max(tol, TOL_FLOOR)
     table = build_subclass_table(system)
     amps, values = _kd_kernel(psi.vector[None, :], system)
     pattern = sign_pattern(KDProfile(state=psi, values=tuple(values[0].tolist())), tol)
@@ -296,11 +297,13 @@ def classify_batch(
 
     Returns (boundary_mask, label_index) arrays.  A row is boundary when
     any quasi-probability lies within ``tol`` of zero; its label_index is
-    -1, and otherwise indexes ALL_LABELS.  Raises NonFiniteError or
-    UnknownPatternError naming the offending rows.
+    -1, and otherwise indexes ALL_LABELS.  A ``tol`` below TOL_FLOOR
+    counts as TOL_FLOOR.  Raises NonFiniteError or UnknownPatternError
+    naming the offending rows.
     """
     if system is None:
         system = default_system()
+    tol = max(tol, TOL_FLOOR)
     table = build_subclass_table(system)
     values = profile_values_batch(vectors, system)
     boundary = (np.abs(values) <= tol).any(axis=1)

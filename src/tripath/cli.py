@@ -88,14 +88,12 @@ def _state_from_args(args) -> tuple[RayState, str]:
         return named.ray, named.name
     if getattr(args, "amplitudes", None):
         vec = parse_amplitudes(args.amplitudes)
-        norm = float(np.linalg.norm(vec))
-        if norm <= 1e-12:
-            raise _UsageError("amplitudes give the zero vector")
-        canonical = normalize(vec)
+        canonical = normalize(vec)  # raises on a zero or non-finite vector
+        norm = math.hypot(*vec)  # neither overflows nor underflows
         if abs(norm - 1.0) > 1e-9:
             print(f"note: normalizing amplitudes (norm was {norm:.12g})", file=sys.stderr)
         # keep the sign the caller typed
-        if float(vec @ canonical.vector) < 0:
+        if float(np.sign(vec) @ canonical.vector) < 0:
             canonical = canonical.flipped()
         return canonical, "custom"
     raise _UsageError("select a state with --state NAME or --amplitudes a,b,c")

@@ -8,7 +8,7 @@ class TripathError(Exception):
 
 
 class ZeroVectorError(TripathError, ValueError):
-    """Raised when a vector with (near) zero norm cannot be normalized."""
+    """Raised when the zero vector would have to be normalized."""
 
 
 class NonFiniteError(TripathError, ValueError):

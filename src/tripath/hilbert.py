@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,21 +83,27 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 def normalize(v: Sequence[float] | np.ndarray) -> RayState:
     """Scale a raw coefficient vector to a canonical unit ray.
 
+    Scale-invariant: ``v`` is first divided by the smallest power of two
+    above its largest absolute entry.  That division is exact for normal
+    entries, so ordinary input keeps every bit, and the norm can neither
+    overflow nor underflow.
+
     Raises
     ------
     NonFiniteError
         If ``v`` holds a NaN or an infinity.
     ZeroVectorError
-        If the norm of ``v`` is at or below 1e-12.
+        If ``v`` is the zero vector.
     """
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"cannot normalize non-finite coefficients {arr.tolist()}")
+    arr = np.ldexp(arr, -np.frexp(np.abs(arr).max())[1])
     norm = float(np.linalg.norm(arr))
-    if norm <= 1e-12:
-        raise ZeroVectorError("cannot normalize a vector of norm <= 1e-12")
+    if norm == 0.0:
+        raise ZeroVectorError("cannot normalize the zero vector")
     return RayState(*_canonical_sign(arr / norm))
 
 

@@ -22,13 +22,7 @@ import numpy as np
 
 from .errors import DegeneratePairError, NonFiniteError, UnknownPathError
 from .hilbert import RayState, inner, normalize
-from .interferometer import (
-    INNER_PATHS,
-    OPPOSITE_OUTER,
-    PATH_NAMES,
-    PathSystem,
-    default_system,
-)
+from .interferometer import INNER_PATHS, PATH_NAMES, PathSystem, default_system
 
 
 @dataclass(frozen=True)

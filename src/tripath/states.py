@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import UnknownPathError
 from .hilbert import RayState, inner, orthogonal_to_pair
 from .interferometer import (

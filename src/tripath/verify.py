@@ -1,22 +1,22 @@
-"""Self check suite for the published reference values.
+"""Self check suite: every published closed form value, recomputed from first principles.
 
-Every check recomputes a published closed form value from first
-principles and compares at tight tolerance.  The CLI ``verify``
-subcommand runs all checks and reports one line per identity.
+A check is one row of ``_ROWS``: ident, description, the detail reported on
+success (a format string applied to the first computed value) and a function
+yielding ``(what, got, want, tol)`` comparisons.  A number passes when
+``|got - want| <= tol``; any other value must equal ``want``.  A failing check
+reports its first failing comparison.  ``tripath verify`` prints one line per check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import atlas, classify, hilbert, interferometer, kd, states
-
-S2_ = math.sqrt(2.0)
-S3_ = math.sqrt(3.0)
+from .interferometer import PathSystem
 
 
 @dataclass
@@ -27,51 +27,63 @@ class CheckResult:
     detail: str = ""
 
 
-def _close(got, want, tol=1e-12) -> tuple[bool, str]:
-    got, want = float(got), float(want)
-    ok = abs(got - want) <= tol
-    return ok, f"got {got!r}, want {want!r}" if not ok else f"{got!r}"
-
-
-def _ray_close(got, want, tol=1e-12) -> tuple[bool, str]:
-    ok = hilbert.same_ray(got, want, tol)
-    return ok, "ray mismatch" if not ok else "match"
-
-
+# Closed forms (x, y, z, d) of the rays (x, y, z)/sqrt(d).
 CLOSED_FORMS = {
-    "1": (1, 0, 0, 1),
-    "2": (0, 1, 0, 1),
-    "3": (0, 0, 1, 1),
-    "S1": (0, 1, 1, 2),
-    "D1": (0, 1, -1, 2),
-    "f": (1, 1, -1, 3),
-    "P1": (2, -1, 1, 6),
-    "P2": (-1, 2, 1, 6),
-    "S2": (1, 0, 1, 2),
-    "D2": (1, 0, -1, 2),
+    "1": (1, 0, 0, 1), "2": (0, 1, 0, 1), "3": (0, 0, 1, 1), "S1": (0, 1, 1, 2), "D1": (0, 1, -1, 2),
+    "f": (1, 1, -1, 3), "P1": (2, -1, 1, 6), "P2": (-1, 2, 1, 6), "S2": (1, 0, 1, 2), "D2": (1, 0, -1, 2),
 }
-
 N_FORMS = {
-    "N_f": (1, 1, 1, 3),
-    "N_1": (1, 3, 1, 11),
-    "N_S2": (1, 2, 0, 5),
-    "N_S1": (2, 1, 0, 5),
-    "N_2": (3, 1, 1, 11),
+    "N_f": (1, 1, 1, 3), "N_1": (1, 3, 1, 11), "N_S2": (1, 2, 0, 5), "N_S1": (2, 1, 0, 5), "N_2": (3, 1, 1, 11),
 }
-
 THETA_FORMS = {
-    "theta_P2": (0, 1, -2, 5),
-    "theta_D1": (1, -1, -1, 3),
-    "theta_3": (1, -1, 0, 2),
-    "theta_D2": (1, -1, 1, 3),
-    "theta_P1": (1, 0, -2, 5),
+    "theta_P2": (0, 1, -2, 5), "theta_D1": (1, -1, -1, 3), "theta_3": (1, -1, 0, 2),
+    "theta_D2": (1, -1, 1, 3), "theta_P1": (1, 0, -2, 5),
 }
+BASIS_FORMS = {"Q(S2,D1)": (2, -1, 3, 14), "T(2,S1)": (0, 3, 1, 10), "T(1,f)": (5, 1, -3, 35)}
+T2F_FORM = (1, 4, -2, 21)  # T(2,f), the state the joint basis certifies
+HARDY = {"f": 1 / 9, "1": 1 / 11, "2": 1 / 11, "S1": 1 / 10, "S2": 1 / 10}
+INEQUALITY_SUMS = {"N_f": 7 / 9, "N_1": 9 / 11, "N_2": 9 / 11, "N_S1": 4 / 5, "N_S2": 4 / 5}
+T2F_COEFFICIENTS = (-8 / (7 * math.sqrt(6)), math.sqrt(210) / 21, math.sqrt(15) / 7)
+# KD values of the quasiclassical states; the first four of each carry unit weight.
+THETA_PROFILES = {
+    "theta_D1": {("2", "S1"): 1 / 3, ("1", "f"): 1 / 9, ("S1", "D2"): 1 / 3, ("1", "P2"): 2 / 9,
+                 ("2", "f"): -1 / 9, ("2", "P1"): 1 / 9, ("f", "3"): 1 / 9},
+    "theta_3": {("1", "S2"): 1 / 4, ("2", "S1"): 1 / 4, ("1", "P2"): 1 / 4, ("2", "P1"): 1 / 4},
+    "theta_P1": {("1", "f"): 1 / 5, ("S1", "S2"): 1 / 10, ("f", "3"): 2 / 5, ("S1", "D2"): 3 / 10},
+    "theta_P2": {("2", "f"): 1 / 5, ("S1", "S2"): 1 / 10, ("f", "3"): 2 / 5, ("S2", "D1"): 3 / 10},
+    "theta_D2": {("1", "S2"): 1 / 3, ("2", "f"): 1 / 9, ("S2", "D1"): 1 / 3, ("2", "P1"): 2 / 9},
+}
+# (state, a, b, rho(a,b)): the negative values of the quasiclassical and joint basis states.
+THETA_NEGATIVES = [
+    ("theta_3", "S1", "S2", -1 / 8), ("theta_D1", "2", "f", -1 / 9), ("theta_P1", "1", "S2", -1 / 10),
+    ("theta_P2", "2", "S1", -1 / 10), ("theta_D2", "1", "f", -1 / 9),
+]
+JOINT_NEGATIVES = [
+    ("Q(S2,D1)", "2", "S1", -1 / 14), ("Q(S2,D1)", "1", "f", -2 / 21), ("T(2,S1)", "S2", "D1", -1 / 20),
+    ("T(1,f)", "2", "S1", -1 / 35), ("T(1,f)", "S2", "D1", -2 / 35),
+]
+# ((a, b), path, rho(a,b)) at a corner; where a path is named, rho(a,b) = +-P(path).
+N2_IDENTITIES = [
+    (("1", "S2"), "P1", 6 / 11), (("S1", "S2"), "S1", 2 / 11), (("1", "f"), "f", 3 / 11),
+    (("2", "S1"), "2", 1 / 11), (("2", "f"), "2", 1 / 11), (("2", "P1"), "2", -1 / 11),
+    (("S1", "D2"), "2", -1 / 11), (("f", "3"), "2", -1 / 11),
+]
+NS1_IDENTITIES = [(("1", "f"), "D2", 2 / 5), (("2", "f"), "2", 1 / 5), (("1", "S2"), "S2", 2 / 5)]
+NF_VALUES = [(("S1", "S2"), None, 1 / 3), (("2", "S1"), None, 1 / 3), (("1", "S2"), None, 1 / 3)]
+# (state, state, |<a|b>|^2) certification fidelities, and the published roundings.
+FIDELITIES = [
+    ("T(2,S1)", "S1", 4 / 5), ("T(1,f)", "f", 27 / 35), ("Q(S2,D1)", "P1", 16 / 21),
+    ("T(2,f)", "2", 16 / 21), ("T(2,f)", "f", 7 / 9), ("T(2,f)", "D1", 6 / 7),
+    ("Q(S2,D1)", "D1", 4 / 7), ("Q(S2,D1)", "T(2,f)", 64 / 294), ("T(2,S1)", "2", 9 / 10),
+    ("T(2,S1)", "T(2,f)", 100 / 210), ("T(1,f)", "T(2,f)", 225 / 735),
+]
+ROUNDED = [
+    (16 / 21, 0.76), (7 / 9, 0.78), (6 / 7, 0.86), (4 / 7, 0.57), (64 / 294, 0.22),
+    (9 / 10, 0.90), (100 / 210, 0.48), (27 / 35, 0.77), (225 / 735, 0.31),
+]
 
-BASIS_FORMS = {
-    "Q(S2,D1)": (2, -1, 3, 14),
-    "T(2,S1)": (0, 3, 1, 10),
-    "T(1,f)": (5, 1, -3, 35),
-}
+Comparison = tuple[str, object, object, "float | None"]
+Rays = dict[str, "hilbert.RayState"]
 
 
 def _form(t) -> np.ndarray:
@@ -79,416 +91,229 @@ def _form(t) -> np.ndarray:
     return np.array([x, y, z]) / math.sqrt(d)
 
 
-def _checks() -> list[tuple[str, str, Callable[[], tuple[bool, str]]]]:
-    sys_ = interferometer.default_system()
-    named = states.canonical_states(sys_)
-    out: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = []
+def _ray(what: str, got: np.ndarray, form, tol: float = 1e-12) -> Comparison:
+    """min(|a - b|, |a + b|) against 0: the ray comparison of ``hilbert.same_ray``."""
+    want = _form(form)
+    return what, min(np.linalg.norm(got - want), np.linalg.norm(got + want)), 0.0, tol
 
-    def add(ident: str, description: str, fn: Callable[[], tuple[bool, str]]) -> None:
-        out.append((ident, description, fn))
 
-    add(
-        "normalize/N_2",
-        "normalize((3,1,1)) gives the pentagon corner opposite path 2",
-        lambda: _ray_close(hilbert.normalize([3, 1, 1]).vector, _form(N_FORMS["N_2"])),
-    )
-    add(
-        "inner/S1.S2",
-        "overlap of the two sum paths is 1/2",
-        lambda: _close(hilbert.inner(sys_.ray("S1"), sys_.ray("S2")), 0.5),
-    )
-    add(
-        "orthogonal/N_f",
-        "ray orthogonal to D1 and D2 is (1,1,1)/sqrt(3)",
-        lambda: _ray_close(
-            hilbert.orthogonal_to_pair(sys_.ray("D1"), sys_.ray("D2")).vector,
-            _form(N_FORMS["N_f"]),
-        ),
-    )
-    add(
-        "orthogonal/theta_3",
-        "ray orthogonal to path 3 and path f is (1,-1,0)/sqrt(2)",
-        lambda: _ray_close(
-            hilbert.orthogonal_to_pair(sys_.ray("3"), sys_.ray("f")).vector,
-            _form(THETA_FORMS["theta_3"]),
-        ),
-    )
+def _forms(r: Rays, forms: dict) -> list[Comparison]:
+    return [_ray(name, r[name].vector, form) for name, form in forms.items()]
 
-    def check_cascade():
-        for name, form in CLOSED_FORMS.items():
-            if not np.allclose(sys_.ray(name).vector, _form(form), atol=1e-12):
-                return False, f"path {name} deviates from its closed form"
-        return True, "all ten paths match"
 
-    add("cascade/closed-forms", "default cascade reproduces all ten path vectors", check_cascade)
-    add(
-        "cascade/closure",
-        "default outputs equal inputs up to sign",
-        lambda: (interferometer.verify_closure(sys_, 1e-12), ""),
-    )
-    add(
-        "probability/N_f.f",
-        "P(f) = 1/9 for the central pentagon corner",
-        lambda: _close(interferometer.probabilities(named["N_f"].ray, sys_)["f"], 1 / 9),
-    )
-    add(
-        "probability/N_1.1",
-        "P(1) = 1/11 for the corner opposite path 1",
-        lambda: _close(interferometer.probabilities(named["N_1"].ray, sys_)["1"], 1 / 11),
-    )
+def _rho(p: kd.KDProfile, a: str, b: str, want: float, prefix: str = "") -> Comparison:
+    return f"{prefix}rho({a},{b})", p.value(a, b), want, 1e-12
 
-    def check_n_states():
-        for name, form in N_FORMS.items():
-            if not hilbert.same_ray(named[name].ray.vector, _form(form), 1e-12):
-                return False, f"{name} deviates"
-        return True, "all five corners match"
 
-    add("states/N", "pentagon corners match their closed forms", check_n_states)
+def _kd(s: PathSystem, r: Rays, name: str, a: str, b: str, want: float) -> Comparison:
+    return f"{name} rho({a},{b})", kd.kd_value(r[name], a, b, s), want, 1e-12
 
-    def check_theta_states():
-        for name, form in THETA_FORMS.items():
-            if not hilbert.same_ray(named[name].ray.vector, _form(form), 1e-12):
-                return False, f"{name} deviates"
-        return True, "all five quasiclassical states match"
 
-    add(
-        "states/theta",
-        "quasiclassical states match their closed forms, theta_D2 = (1,-1,1)/sqrt(3)",
-        check_theta_states,
-    )
+def _inside(what: str, x: float, lo: float, hi: float) -> Comparison:
+    return f"{what} = {x!r} in ({lo}, {hi})", lo < x < hi, True, None
 
-    def check_basis():
-        basis = states.joint_basis(sys_)
-        for b in basis:
-            if not hilbert.same_ray(b.ray.vector, _form(BASIS_FORMS[b.name]), 1e-12):
-                return False, f"{b.name} deviates"
-        gram = np.array([b.ray.vector for b in basis])
-        if not np.allclose(gram @ gram.T, np.eye(3), atol=1e-12):
-            return False, "basis is not orthonormal"
-        return True, "orthonormal, all three match"
 
-    add("states/joint-basis", "nonclassical joint basis matches its closed forms", check_basis)
+def _profiles(s: PathSystem, r: Rays, names: Iterable[str]):
+    for name in names:
+        p, want = kd.kd_profile(r[name], s), THETA_PROFILES[name]
+        yield from (_rho(p, a, b, w, f"{name} ") for (a, b), w in want.items())
+        yield f"{name} weight sum", sum(p.value(*pair) for pair in list(want)[:4]), 1.0, 1e-12
 
-    def check_hardy():
-        want = {"f": 1 / 9, "1": 1 / 11, "2": 1 / 11, "S1": 1 / 10, "S2": 1 / 10}
-        for i, w in want.items():
-            if abs(states.hardy_value(i, sys_) - w) > 1e-12:
-                return False, f"hardy_value({i}) off"
-        return True, "1/9, 1/11, 1/11, 1/10, 1/10"
 
-    add("states/hardy", "paradoxical detection probabilities of the corners", check_hardy)
+def _identities(s: PathSystem, r: Rays, name: str, table):
+    p, probs = kd.kd_profile(r[name], s), interferometer.probabilities(r[name], s)
+    for (a, b), path, w in table:
+        yield _rho(p, a, b, w, f"{name} ")
+        if path:
+            yield f"{name} rho({a},{b}) vs P({path})", p.value(a, b), math.copysign(probs[path], w), 1e-12
 
-    def check_decompose_basis():
-        t2f = hilbert.normalize(np.array([1, 4, -2]) / math.sqrt(21))
-        c = states.decompose_in_basis(t2f, sys_)
-        want = (-8 / (7 * math.sqrt(6)), math.sqrt(210) / 21, math.sqrt(15) / 7)
-        for got, w in zip(c, want):
-            if abs(abs(got) - abs(w)) > 1e-12:
-                return False, f"coefficient {got!r} vs {w!r}"
-        if abs(sum(x * x for x in c) - 1) > 1e-12:
-            return False, "coefficients not normalized"
-        return True, "T(2,f) coefficients match"
 
-    add(
-        "states/decompose",
-        "T(2,f) splits over the joint basis with weight 64/294 on Q(S2,D1)",
-        check_decompose_basis,
-    )
-    add(
-        "kd/N_2.1S2",
-        "rho(1,S2) = 6/11 for the corner opposite path 2",
-        lambda: _close(kd.kd_value(named["N_2"].ray, "1", "S2", sys_), 6 / 11),
-    )
-    add(
-        "kd/theta_3.S1S2",
-        "rho(S1,S2) = -1/8 at theta_3, the extremal negative value",
-        lambda: _close(kd.kd_value(named["theta_3"].ray, "S1", "S2", sys_), -1 / 8),
-    )
+def _basis(s: PathSystem, r: Rays):
+    yield from _forms(r, BASIS_FORMS)
+    gram = np.array([r[name].vector for name in BASIS_FORMS])
+    yield "Gram matrix deviation from identity", np.abs(gram @ gram.T - np.eye(3)).max(), 0.0, 1e-12
 
-    def check_theta_d1_profile():
-        p = kd.kd_profile(named["theta_D1"].ray, sys_)
-        want = {
-            ("2", "S1"): 1 / 3,
-            ("1", "f"): 1 / 9,
-            ("S1", "D2"): 1 / 3,
-            ("1", "P2"): 2 / 9,
-            ("2", "f"): -1 / 9,
-            ("2", "P1"): 1 / 9,
-            ("f", "3"): 1 / 9,
-        }
-        for pair, w in want.items():
-            if abs(p.value(*pair) - w) > 1e-12:
-                return False, f"rho{pair} off"
-        pos = p.value("2", "S1") + p.value("1", "f") + p.value("S1", "D2") + p.value("1", "P2")
-        if abs(pos - 1.0) > 1e-12:
-            return False, "quasiclassical weights do not sum to 1"
-        return True, "profile and unit weight sum match"
 
-    add("kd/theta_D1-profile", "theta_D1 reproduces four probabilities, negative -1/9", check_theta_d1_profile)
+def _decompose(s: PathSystem, r: Rays):
+    c = states.decompose_in_basis(r["T(2,f)"], s)
+    for k, (got, w) in enumerate(zip(c, T2F_COEFFICIENTS)):
+        yield f"|coefficient {k}|", abs(got), abs(w), 1e-12
+    yield "sum of squared coefficients", sum(x * x for x in c), 1.0, 1e-12
 
-    def check_theta_quads():
-        quads = {
-            "theta_3": {("1", "S2"): 1 / 4, ("2", "S1"): 1 / 4, ("1", "P2"): 1 / 4, ("2", "P1"): 1 / 4},
-            "theta_P1": {("1", "f"): 1 / 5, ("S1", "S2"): 1 / 10, ("f", "3"): 2 / 5, ("S1", "D2"): 3 / 10},
-            "theta_P2": {("2", "f"): 1 / 5, ("S1", "S2"): 1 / 10, ("f", "3"): 2 / 5, ("S2", "D1"): 3 / 10},
-            "theta_D2": {("1", "S2"): 1 / 3, ("2", "f"): 1 / 9, ("S2", "D1"): 1 / 3, ("2", "P1"): 2 / 9},
-        }
-        for name, want in quads.items():
-            p = kd.kd_profile(named[name].ray, sys_)
-            total = 0.0
-            for pair, w in want.items():
-                if abs(p.value(*pair) - w) > 1e-12:
-                    return False, f"{name} rho{pair} off"
-                total += p.value(*pair)
-            if abs(total - 1.0) > 1e-12:
-                return False, f"{name} weights do not sum to 1"
-        return True, "all four quasiclassical quadruples match"
 
-    add("kd/theta-quads", "remaining quasiclassical states carry unit weight on four values", check_theta_quads)
+def _decompose_outer(s: PathSystem, r: Rays):
+    rng = np.random.default_rng(7)
+    for k in range(50):
+        psi = hilbert.normalize(rng.normal(size=3))
+        for i in interferometer.OUTER_PATHS:
+            total = sum(v for _, v in kd.decompose_outer(psi, i, s))
+            yield f"state {k}: P({i}) from KD terms", total, interferometer.probabilities(psi, s)[i], 1e-10
 
-    def check_theta_negatives():
-        want = {
-            "theta_3": (("S1", "S2"), -1 / 8),
-            "theta_D1": (("2", "f"), -1 / 9),
-            "theta_P1": (("1", "S2"), -1 / 10),
-            "theta_P2": (("2", "S1"), -1 / 10),
-            "theta_D2": (("1", "f"), -1 / 9),
-        }
-        for name, (pair, w) in want.items():
-            if abs(kd.kd_value(named[name].ray, *pair, sys_) - w) > 1e-12:
-                return False, f"{name} off"
-        return True, "magnitudes 1/8, 1/9, 1/10, 1/10, 1/9"
 
-    add("kd/theta-negatives", "single negative value of each quasiclassical state", check_theta_negatives)
+def _max_violation(s: PathSystem, r: Rays):
+    state, violation = kd.max_violation(s)
+    yield "violation", violation, math.sqrt(11 / 12) - 0.5, 1e-12
+    probs = interferometer.probabilities(state, s)
+    yield "maximizer P(1) vs P(2)", probs["1"], probs["2"], 1e-9
+    yield "maximizer P(1)", probs["1"], 0.4676, 5e-4
+    yield "maximizer P(3)", probs["3"], 0.0648, 5e-4
 
-    def check_n2_cancellation():
-        psi = named["N_2"].ray
-        p = kd.kd_profile(psi, sys_)
-        probs = interferometer.probabilities(psi, sys_)
-        checks = [
-            (p.value("1", "S2"), probs["P1"], 6 / 11),
-            (p.value("S1", "S2"), probs["S1"], 2 / 11),
-            (p.value("1", "f"), probs["f"], 3 / 11),
-            (p.value("2", "S1"), probs["2"], 1 / 11),
-            (p.value("2", "f"), probs["2"], 1 / 11),
-            (p.value("2", "P1"), -probs["2"], -1 / 11),
-            (p.value("S1", "D2"), -probs["2"], -1 / 11),
-            (p.value("f", "3"), -probs["2"], -1 / 11),
-        ]
-        for got, ident, w in checks:
-            if abs(got - ident) > 1e-12 or abs(got - w) > 1e-12:
-                return False, f"{got!r} vs {ident!r} vs {w!r}"
-        return True, "probability identities and +-1/11 cancellations hold"
 
-    add("kd/N_2-identities", "corner opposite 2: KD values equal path probabilities", check_n2_cancellation)
+def _negative_bounds(s: PathSystem, r: Rays):
+    yield "bound(S1,S2)", kd.kd_negative_bound("S1", "S2", s), 1 / 8, 1e-12
+    # bound(1,b) = (1 - 1/sqrt(d)) / (2 sqrt(d)), just above the theta state's negative value
+    for b, d, theta, lo, hi in (("S2", 2, 1 / 10, 0.0035, 0.0036), ("f", 3, 1 / 9, 0.0105, 0.0115)):
+        bound = kd.kd_negative_bound("1", b, s)
+        yield f"bound(1,{b})", bound, (1 / math.sqrt(d)) * (1 - 1 / math.sqrt(d)) / 2, 1e-12
+        yield _inside(f"bound(1,{b}) - 1/{1 / theta:.0f}", bound - theta, lo, hi)
 
-    def check_n_s1_nf():
-        ps1 = kd.kd_profile(named["N_S1"].ray, sys_)
-        probs1 = interferometer.probabilities(named["N_S1"].ray, sys_)
-        if abs(ps1.value("1", "f") - 2 / 5) > 1e-12 or abs(ps1.value("1", "f") - probs1["D2"]) > 1e-12:
-            return False, "N_S1 rho(1,f) off"
-        if abs(ps1.value("2", "f") - 1 / 5) > 1e-12 or abs(ps1.value("2", "f") - probs1["2"]) > 1e-12:
-            return False, "N_S1 rho(2,f) off"
-        if abs(ps1.value("1", "S2") - 2 / 5) > 1e-12 or abs(ps1.value("1", "S2") - probs1["S2"]) > 1e-12:
-            return False, "N_S1 rho(1,S2) off"
-        pf = kd.kd_profile(named["N_f"].ray, sys_)
-        for pair in (("S1", "S2"), ("2", "S1"), ("1", "S2")):
-            if abs(pf.value(*pair) - 1 / 3) > 1e-12:
-                return False, f"N_f rho{pair} off"
-        return True, "2/5, 1/5, 2/5 and the three 1/3 values match"
 
-    add("kd/N_S1-N_f", "remaining corner identities match", check_n_s1_nf)
+def _extremal_scan(s: PathSystem, r: Rays):
+    scan = kd.extremal_kd_on_circle("S1", "S2", 100_000, s)
+    yield "scan minimum of rho(S1,S2)", scan.min_value, -1 / 8, 1e-6
+    yield _ray("scan minimizer vs theta_3", scan.min_state.vector, THETA_FORMS["theta_3"], 1e-3)
+    yield "|<minimizer|maximizer>|", abs(hilbert.inner(scan.min_state, scan.max_state)), 0.0, 1e-4
+    scan = kd.extremal_kd_on_circle("1", "f", 100_000, s)
+    yield _inside("scan |min rho(1,f)| - 1/9", abs(scan.min_value) - 1 / 9, 0.0105, 0.0115)
+    overlap = abs(hilbert.inner(scan.min_state, r["theta_D2"]))
+    yield f"|<minimizer|theta_D2>| = {overlap!r} >= 0.98", overlap >= 0.98, True, None
 
-    def check_decompose_outer():
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            psi = hilbert.normalize(rng.normal(size=3))
-            for i in interferometer.OUTER_PATHS:
-                terms = kd.decompose_outer(psi, i, sys_)
-                total = sum(v for _, v in terms)
-                if abs(total - interferometer.probabilities(psi, sys_)[i]) > 1e-10:
-                    return False, f"decomposition of P({i}) broken"
-        return True, "P(i) recovered for all outer paths"
 
-    add("kd/decompose-outer", "three KD terms rebuild every outer probability", check_decompose_outer)
+def _path_zeros(s: PathSystem, r: Rays):
+    profiles = {path: kd.kd_profile(r[path], s) for path in ("1", "3")}
+    for path, inner_zeros, outer_zeros in (("1", 4, 3), ("3", 2, 4)):
+        pattern = classify.sign_pattern(profiles[path])
+        yield f"path {path} inner zeros", pattern[:5].count(0), inner_zeros, 0
+        yield f"path {path} outer zeros", pattern[5:].count(0), outer_zeros, 0
+    yield _rho(profiles["3"], "f", "3", 1 / 3, "path 3 ")
+    for path, p in profiles.items():
+        yield f"path {path} most negative value", max(0.0, -min(p.values)), 0.0, 1e-15
 
-    def check_inequality_sums():
-        want = {"N_f": 7 / 9, "N_1": 9 / 11, "N_2": 9 / 11, "N_S1": 4 / 5, "N_S2": 4 / 5}
-        for name, w in want.items():
-            if abs(kd.inequality_sum(named[name].ray, sys_) - w) > 1e-12:
-                return False, f"{name} sum off"
-        return True, "7/9, 9/11, 9/11, 4/5, 4/5"
 
-    add("kd/inequality-sums", "inner path sums of the five corners", check_inequality_sums)
+def _table(s: PathSystem, r: Rays):
+    table = classify.build_subclass_table(s)
+    yield "distinct patterns", len(set(table.patterns)), 31, 0
+    b = table.pattern_for(classify.ClassLabel("B", ("1", "S2")))
+    yield "B(1,S2) positive inner pairs", [i for i in range(5) if b[i] > 0], [0, 4], None
+    yield "B(1,S2) negative outer pairs", sum(t < 0 for t in b[5:]), 0, 0
+    q = table.pattern_for(classify.ClassLabel("Q", ("S2", "D1")))
+    yield "Q(S2,D1) negative inner pairs", sum(t < 0 for t in q[:5]), 0, 0
+    yield "Q(S2,D1) negative outer pairs", [i for i in range(5, 10) if q[i] < 0], [5, 8], None
 
-    def check_max_violation():
-        state, violation = kd.max_violation(sys_)
-        want = math.sqrt(11 / 12) - 0.5
-        if abs(violation - want) > 1e-9:
-            return False, f"violation {violation!r} vs {want!r}"
-        probs = interferometer.probabilities(state, sys_)
-        if abs(probs["1"] - probs["2"]) > 1e-9:
-            return False, "maximizer breaks the 1<->2 symmetry"
-        if abs(probs["1"] - 0.4676) > 5e-4 or abs(probs["3"] - 0.0648) > 5e-4:
-            return False, "maximizer probabilities off"
-        return True, f"violation {violation:.9f}"
 
-    add("kd/max-violation", "largest violation is sqrt(11/12) - 1/2", check_max_violation)
+def _named_states(s: PathSystem, r: Rays):
+    got = {name: classify.classify(r[name], s).labels for name in ("N_2", "theta_D1", "f", "3")}
+    yield "N_2", sorted(map(str, got["N_2"])), ["B(1,S2)", "N", "V(1)", "V(S2)"], None
+    yield "theta_D1", sorted(map(str, got["theta_D1"])), ["Q(1,P2)", "Q(S1,D2)", "X(1,D2)", "X(S1,P2)"], None
+    yield "path f classes", sorted({label.cls for label in got["f"]}), ["B", "Q", "T", "V", "X"], None
+    yield "path 3 classes", sorted({label.cls for label in got["3"]}), ["Q", "T", "X"], None
 
-    def check_negative_bounds():
-        if abs(kd.kd_negative_bound("S1", "S2", sys_) - 1 / 8) > 1e-12:
-            return False, "(S1,S2) bound off"
-        b = kd.kd_negative_bound("1", "S2", sys_)
-        if abs(b - (1 / S2_) * (1 - 1 / S2_) / 2) > 1e-12:
-            return False, "(1,S2) bound off"
-        if not 0.0035 < b - 1 / 10 < 0.0036:
-            return False, "(1,S2) bound vs theta_P1 gap off"
-        c = kd.kd_negative_bound("1", "f", sys_)
-        if abs(c - (1 / S3_) * (1 - 1 / S3_) / 2) > 1e-12:
-            return False, "(1,f) bound off"
-        if not 0.0105 < c - 1 / 9 < 0.0115:
-            return False, "(1,f) bound vs theta_D2 gap off"
-        return True, "1/8 exact, 0.10355 and 0.12201 match"
 
-    add("kd/negative-bounds", "extremal negative magnitudes per outer pair", check_negative_bounds)
+def _fidelities(s: PathSystem, r: Rays):
+    for a, b, w in FIDELITIES:
+        yield f"|<{a}|{b}>|^2", hilbert.inner(r[a], r[b]) ** 2, w, 1e-12
+    for w, rounded in ROUNDED:
+        yield f"published rounding of {w!r}", w, rounded, 5e-3
 
-    def check_extremal_scan():
-        scan = kd.extremal_kd_on_circle("S1", "S2", 100_000, sys_)
-        if abs(scan.min_value + 1 / 8) > 1e-6:
-            return False, "scan minimum misses -1/8"
-        if not hilbert.same_ray(scan.min_state.vector, _form(THETA_FORMS["theta_3"]), 1e-3):
-            return False, "scan minimizer is not theta_3"
-        if abs(hilbert.inner(scan.min_state, scan.max_state)) > 1e-4:
-            return False, "extremal states are not orthogonal"
-        scan1f = kd.extremal_kd_on_circle("1", "f", 100_000, sys_)
-        gap = abs(scan1f.min_value) - 1 / 9
-        if not 0.0105 < gap < 0.0115:
-            return False, "gap to theta_D2 negative value off"
-        if abs(hilbert.inner(scan1f.min_state, named["theta_D2"].ray)) < 0.98:
-            return False, "scan minimizer is far from theta_D2"
-        return True, "theta_3 is exactly extremal; theta_D2 nearly so"
 
-    add("kd/extremal-scan", "great circle scans find the closed form extrema", check_extremal_scan)
+def _atlas(s: PathSystem, r: Rays):
+    grid = atlas.sample_atlas(512, system=s)
+    yield "visible sub-classes", len(grid.label_counts()), 31, 0
+    yield "state markers in the vector chart", atlas.render(grid, "vector", s).count("<text"), 20, 0
 
-    def check_path_zero_structure():
-        p1 = kd.kd_profile(sys_.ray("1"), sys_)
-        pat1 = classify.sign_pattern(p1)
-        if pat1[:5].count(0) != 4 or pat1[5:].count(0) != 3:
-            return False, "outer path 1 zero counts off"
-        p3 = kd.kd_profile(sys_.ray("3"), sys_)
-        pat3 = classify.sign_pattern(p3)
-        if pat3[:5].count(0) != 2 or pat3[5:].count(0) != 4:
-            return False, "inner path 3 zero counts off"
-        if abs(p3.value("f", "3") - 1 / 3) > 1e-12:
-            return False, "rho(f,3) at path 3 off"
-        if min(v for v in p1.values) < -1e-15 or min(v for v in p3.values) < -1e-15:
-            return False, "path state profile went negative"
-        return True, "zero counts 4/3 and 2/4, no negatives"
 
-    add("classify/path-zeros", "path states sit on the documented boundaries", check_path_zero_structure)
+# (ident, description, detail on success, comparisons(system, rays))
+_ROWS: list[tuple[str, str, str, Callable[[PathSystem, Rays], Iterable[Comparison]]]] = [
+    ("normalize/N_2", "normalize((3,1,1)) gives the pentagon corner opposite path 2", "match",
+     lambda s, r: [_ray("normalize((3,1,1))", hilbert.normalize([3, 1, 1]).vector, N_FORMS["N_2"])]),
+    ("inner/S1.S2", "overlap of the two sum paths is 1/2", "{!r}",
+     lambda s, r: [("<S1|S2>", hilbert.inner(s.ray("S1"), s.ray("S2")), 0.5, 1e-12)]),
+    ("orthogonal/N_f", "ray orthogonal to D1 and D2 is (1,1,1)/sqrt(3)", "match",
+     lambda s, r: [_ray("D1 x D2", hilbert.orthogonal_to_pair(r["D1"], r["D2"]).vector, N_FORMS["N_f"])]),
+    ("orthogonal/theta_3", "ray orthogonal to path 3 and path f is (1,-1,0)/sqrt(2)", "match",
+     lambda s, r: [_ray("3 x f", hilbert.orthogonal_to_pair(r["3"], r["f"]).vector, THETA_FORMS["theta_3"])]),
+    ("cascade/closed-forms", "default cascade reproduces all ten path vectors", "all ten paths match",
+     lambda s, r: [(f"path {name}", np.abs(s.ray(name).vector - _form(form)).max(), 0.0, 1e-12)
+                   for name, form in CLOSED_FORMS.items()]),
+    ("cascade/closure", "default outputs equal inputs up to sign", "",
+     lambda s, r: [("outputs equal inputs", interferometer.verify_closure(s, 1e-12), True, None)]),
+    ("probability/N_f.f", "P(f) = 1/9 for the central pentagon corner", "{!r}",
+     lambda s, r: [("P(f)", interferometer.probabilities(r["N_f"], s)["f"], 1 / 9, 1e-12)]),
+    ("probability/N_1.1", "P(1) = 1/11 for the corner opposite path 1", "{!r}",
+     lambda s, r: [("P(1)", interferometer.probabilities(r["N_1"], s)["1"], 1 / 11, 1e-12)]),
+    ("states/N", "pentagon corners match their closed forms", "all five corners match",
+     lambda s, r: _forms(r, N_FORMS)),
+    ("states/theta", "quasiclassical states match their closed forms, theta_D2 = (1,-1,1)/sqrt(3)",
+     "all five quasiclassical states match", lambda s, r: _forms(r, THETA_FORMS)),
+    ("states/joint-basis", "nonclassical joint basis matches its closed forms",
+     "orthonormal, all three match", _basis),
+    ("states/hardy", "paradoxical detection probabilities of the corners", "1/9, 1/11, 1/11, 1/10, 1/10",
+     lambda s, r: [(f"hardy_value({i})", states.hardy_value(i, s), w, 1e-12) for i, w in HARDY.items()]),
+    ("states/decompose", "T(2,f) splits over the joint basis with weight 64/294 on Q(S2,D1)",
+     "T(2,f) coefficients match", _decompose),
+    ("kd/N_2.1S2", "rho(1,S2) = 6/11 for the corner opposite path 2", "{!r}",
+     lambda s, r: [_kd(s, r, "N_2", "1", "S2", 6 / 11)]),
+    ("kd/theta_3.S1S2", "rho(S1,S2) = -1/8 at theta_3, the extremal negative value", "{!r}",
+     lambda s, r: [_kd(s, r, "theta_3", "S1", "S2", -1 / 8)]),
+    ("kd/theta_D1-profile", "theta_D1 reproduces four probabilities, negative -1/9",
+     "profile and unit weight sum match", lambda s, r: _profiles(s, r, ["theta_D1"])),
+    ("kd/theta-quads", "remaining quasiclassical states carry unit weight on four values",
+     "all four quasiclassical quadruples match",
+     lambda s, r: _profiles(s, r, ["theta_3", "theta_P1", "theta_P2", "theta_D2"])),
+    ("kd/theta-negatives", "single negative value of each quasiclassical state",
+     "magnitudes 1/8, 1/9, 1/10, 1/10, 1/9", lambda s, r: [_kd(s, r, *row) for row in THETA_NEGATIVES]),
+    ("kd/N_2-identities", "corner opposite 2: KD values equal path probabilities",
+     "probability identities and +-1/11 cancellations hold",
+     lambda s, r: _identities(s, r, "N_2", N2_IDENTITIES)),
+    ("kd/N_S1-N_f", "remaining corner identities match", "2/5, 1/5, 2/5 and the three 1/3 values match",
+     lambda s, r: [*_identities(s, r, "N_S1", NS1_IDENTITIES), *_identities(s, r, "N_f", NF_VALUES)]),
+    ("kd/decompose-outer", "three KD terms rebuild every outer probability",
+     "P(i) recovered for all outer paths", _decompose_outer),
+    ("kd/inequality-sums", "inner path sums of the five corners", "7/9, 9/11, 9/11, 4/5, 4/5",
+     lambda s, r: [(f"{n} inner sum", kd.inequality_sum(r[n], s), w, 1e-12) for n, w in INEQUALITY_SUMS.items()]),
+    ("kd/max-violation", "largest violation is sqrt(11/12) - 1/2", "violation {:.9f}", _max_violation),
+    ("kd/negative-bounds", "extremal negative magnitudes per outer pair",
+     "1/8 exact, 0.10355 and 0.12201 match", _negative_bounds),
+    ("kd/extremal-scan", "great circle scans find the closed form extrema",
+     "theta_3 is exactly extremal; theta_D2 nearly so", _extremal_scan),
+    ("classify/path-zeros", "path states sit on the documented boundaries",
+     "zero counts 4/3 and 2/4, no negatives", _path_zeros),
+    ("classify/table", "sub-class table matches the documented patterns",
+     "31 distinct patterns, spot checks pass", _table),
+    ("classify/named-states", "boundary states list their adjacent sub-classes",
+     "corner states resolve to their adjacent sub-classes", _named_states),
+    ("kd/joint-negatives", "negative KD values of the joint basis states",
+     "-1/14, -2/21, -1/20, -1/35, -2/35", lambda s, r: [_kd(s, r, *row) for row in JOINT_NEGATIVES]),
+    ("states/fidelities", "joint basis certifies its sub-classes with published fidelities",
+     "fidelities and certification probabilities match", _fidelities),
+    ("atlas/regions", "chart shows every sub-class and all named states",
+     "all 31 regions visible, 20 markers drawn", _atlas),
+]
 
-    def check_table():
-        table = classify.build_subclass_table(sys_)
-        if len(set(table.patterns)) != 31:
-            return False, "table does not hold 31 distinct patterns"
-        b = table.pattern_for(classify.ClassLabel("B", ("1", "S2")))
-        pos_inner = {i for i in range(5) if b[i] > 0}
-        if pos_inner != {0, 4} or any(t < 0 for t in b[5:]):
-            return False, "B(1,S2) pattern off"
-        q = table.pattern_for(classify.ClassLabel("Q", ("S2", "D1")))
-        neg_outer = {i for i in range(5, 10) if q[i] < 0}
-        if any(t < 0 for t in q[:5]) or neg_outer != {5, 8}:
-            return False, "Q(S2,D1) pattern off"
-        return True, "31 distinct patterns, spot checks pass"
 
-    add("classify/table", "sub-class table matches the documented patterns", check_table)
-
-    def check_classify_named():
-        got = {str(l) for l in classify.classify(named["N_2"].ray, sys_).labels}
-        if got != {"N", "V(1)", "V(S2)", "B(1,S2)"}:
-            return False, f"N_2 labels {sorted(got)}"
-        got = {str(l) for l in classify.classify(named["theta_D1"].ray, sys_).labels}
-        if got != {"Q(S1,D2)", "Q(1,P2)", "X(1,D2)", "X(S1,P2)"}:
-            return False, f"theta_D1 labels {sorted(got)}"
-        classes = {l.cls for l in classify.classify(sys_.ray("f"), sys_).labels}
-        if classes != {"V", "B", "T", "X", "Q"}:
-            return False, f"outer path classes {sorted(classes)}"
-        classes = {l.cls for l in classify.classify(sys_.ray("3"), sys_).labels}
-        if classes != {"T", "X", "Q"}:
-            return False, f"inner path classes {sorted(classes)}"
-        return True, "corner states resolve to their adjacent sub-classes"
-
-    add("classify/named-states", "boundary states list their adjacent sub-classes", check_classify_named)
-
-    def check_joint_kd():
-        basis = states.joint_basis(sys_)
-        q, t2s1, t1f = (b.ray for b in basis)
-        checks = [
-            (kd.kd_value(q, "2", "S1", sys_), -1 / 14),
-            (kd.kd_value(q, "1", "f", sys_), -2 / 21),
-            (kd.kd_value(t2s1, "S2", "D1", sys_), -1 / 20),
-            (kd.kd_value(t1f, "2", "S1", sys_), -1 / 35),
-            (kd.kd_value(t1f, "S2", "D1", sys_), -2 / 35),
-        ]
-        for got, w in checks:
-            if abs(got - w) > 1e-12:
-                return False, f"{got!r} vs {w!r}"
-        return True, "-1/14, -2/21, -1/20, -1/35, -2/35"
-
-    add("kd/joint-negatives", "negative KD values of the joint basis states", check_joint_kd)
-
-    def check_fidelities():
-        basis = {b.name: b.ray for b in states.joint_basis(sys_)}
-        t2f = hilbert.normalize(np.array([1, 4, -2]) / math.sqrt(21))
-        probs_t2f = interferometer.probabilities(t2f, sys_)
-        exact = [
-            (hilbert.inner(basis["T(2,S1)"], sys_.ray("S1")) ** 2, 4 / 5),
-            (hilbert.inner(basis["T(1,f)"], sys_.ray("f")) ** 2, 27 / 35),
-            (hilbert.inner(basis["Q(S2,D1)"], sys_.ray("P1")) ** 2, 16 / 21),
-            (probs_t2f["2"], 16 / 21),
-            (probs_t2f["f"], 7 / 9),
-            (probs_t2f["D1"], 6 / 7),
-            (hilbert.inner(basis["Q(S2,D1)"], sys_.ray("D1")) ** 2, 4 / 7),
-            (hilbert.inner(basis["Q(S2,D1)"], t2f) ** 2, 64 / 294),
-            (hilbert.inner(basis["T(2,S1)"], sys_.ray("2")) ** 2, 9 / 10),
-            (hilbert.inner(basis["T(2,S1)"], t2f) ** 2, 100 / 210),
-            (hilbert.inner(basis["T(1,f)"], t2f) ** 2, 225 / 735),
-        ]
-        for got, w in exact:
-            if abs(got - w) > 1e-12:
-                return False, f"{got!r} vs {w!r}"
-        rounded = [
-            (16 / 21, 0.76), (7 / 9, 0.78), (6 / 7, 0.86), (4 / 7, 0.57),
-            (64 / 294, 0.22), (9 / 10, 0.90), (100 / 210, 0.48),
-            (27 / 35, 0.77), (225 / 735, 0.31),
-        ]
-        for w, r in rounded:
-            if abs(w - r) > 5e-3:
-                return False, f"{w!r} not within 5e-3 of {r!r}"
-        return True, "fidelities and certification probabilities match"
-
-    add("states/fidelities", "joint basis certifies its sub-classes with published fidelities", check_fidelities)
-
-    def check_atlas():
-        grid = atlas.sample_atlas(512, system=sys_)
-        if len(grid.label_counts()) != 31:
-            return False, "not all 31 sub-classes visible"
-        doc = atlas.render(grid, "vector", sys_)
-        if doc.count("<text") != 20:
-            return False, "vector output does not label 20 states"
-        return True, "all 31 regions visible, 20 markers drawn"
-
-    add("atlas/regions", "chart shows every sub-class and all named states", check_atlas)
-
-    return out
+def _judge(detail: str, comparisons: Iterable[Comparison]) -> tuple[bool, str]:
+    """Run one row's comparisons; stop at the first that fails."""
+    first = []
+    for what, got, want, tol in comparisons:
+        if isinstance(got, np.generic):
+            got = got.item()
+        number = isinstance(want, (int, float)) and not isinstance(want, bool)
+        if not (abs(got - want) <= tol if number else got == want):
+            return False, f"{what}: got {got!r}, want {want!r}"
+        first = first or [got]
+    return True, detail.format(*first)
 
 
 def run_checks() -> list[CheckResult]:
+    system = interferometer.default_system()
+    rays = {name: st.ray for name, st in states.canonical_states(system).items()}
+    rays.update({b.name: b.ray for b in states.joint_basis(system)})
+    rays["T(2,f)"] = hilbert.normalize(_form(T2F_FORM))
     results = []
-    for ident, description, fn in _checks():
+    for ident, description, detail, comparisons in _ROWS:
         try:
-            ok, detail = fn()
+            ok, text = _judge(detail, comparisons(system, rays))
         except Exception as exc:  # a crashed check reports as failure
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(ident, description, bool(ok), detail))
+            ok, text = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(ident, description, ok, text))
     return results

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tripath import classify, kd, states
+from tripath import classify, hilbert, kd, states
 from tripath.classify import ClassLabel
 from tripath.errors import NonFiniteError
 from tripath.hilbert import inner, normalize
@@ -124,6 +124,27 @@ def test_tol_widening_collects_all_subclasses(system):
     result = classify.classify(normalize([1, 1, 1]), system, tol=10.0)
     assert result.pattern == (0,) * 10
     assert len(result.labels) == 31
+
+
+def test_zero_tol_flags_circle_rows_as_boundary(system, rng):
+    # rays exactly on a circle keep rounding residues of a few eps
+    boundary, idx = classify.classify_batch(
+        hilbert.circle_points(system.ray("D2"), 50000), system, tol=0.0
+    )
+    assert boundary.all() and (idx == -1).all()
+    boundary, _ = classify.classify_batch(random_unit_vectors(rng, 100_000), system, tol=0.0)
+    assert not boundary.any()
+
+
+def test_zero_tol_keeps_the_default_label_sets(system, named):
+    rays = {name: state.ray for name, state in named.items()}
+    rays.update((b.name, b.ray) for b in states.joint_basis(system))
+    for name, ray in rays.items():
+        at_zero = classify.classify(ray, system, tol=0.0)
+        default = classify.classify(ray, system)
+        assert at_zero.labels == default.labels, name
+        assert at_zero.pattern == default.pattern, name
+    assert len(classify.classify(system.ray("f"), system, tol=0.0).labels) == 8
 
 
 def test_result_json(system, named):

@@ -135,6 +135,24 @@ def test_bad_amplitudes():
     assert "zero vector" in proc.stderr
 
 
+def test_amplitudes_at_extreme_scales():
+    big = run_cli("kd", "--amplitudes", "1e308,1e308,1", "--json")
+    unit = run_cli("kd", "--amplitudes", "1,1,0", "--json")
+    assert big.returncode == 0 and unit.returncode == 0
+    assert "Warning" not in big.stderr
+    assert "normalizing" in big.stderr
+    big_doc, unit_doc = json.loads(big.stdout), json.loads(unit.stdout)
+    # the third amplitude is 1e-308 of the others: equal up to subnormal terms
+    assert big_doc["state"] == pytest.approx(unit_doc["state"], rel=0, abs=1e-300)
+    for got, want in zip(big_doc["values"], unit_doc["values"]):
+        assert got["pair"] == want["pair"]
+        assert got["value"] == pytest.approx(want["value"], rel=0, abs=1e-300)
+
+    tiny = run_cli("classify", "--amplitudes", "1e-200,0,0")
+    assert tiny.returncode == 0
+    assert tiny.stdout == run_cli("classify", "--amplitudes", "1,0,0").stdout
+
+
 def test_non_finite_amplitudes():
     for amplitudes in ("nan,1,1", "inf,1,1"):
         proc = run_cli("classify", "--amplitudes", amplitudes)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,21 @@ def test_normalize_rejects_zero_vector():
     with pytest.raises(ZeroVectorError):
         normalize([0.0, 0.0, 0.0])
     with pytest.raises(ZeroVectorError):
-        normalize([1e-13, 0.0, 0.0])
+        normalize([-0.0, 0.0, -0.0])
+
+
+def test_normalize_is_scale_invariant():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or underflow warnings
+        for v in ([3.0, 1.0, 1.0], [1.0, -4.0, 2.0], [0.0, 0.0, -7.0]):
+            want = normalize(v)
+            for k in (-1070, -600, -40, 1, 40, 600, 1020):
+                assert normalize(np.ldexp(v, k)) == want  # exact for powers of two
+            for c in (1e-300, 1e-200, 1e-13, 1e200, 1e300):
+                assert same_ray(normalize(np.multiply(v, c)), want, tol=1e-15)
+        assert normalize([1e-13, 0.0, 0.0]) == RayState(1.0, 0.0, 0.0)
+        assert normalize([5e-324, 0.0, 0.0]) == RayState(1.0, 0.0, 0.0)
+        assert same_ray(normalize([1e308, 1e308, 1.0]), normalize([1.0, 1.0, 0.0]), tol=1e-15)
 
 
 def test_normalize_rejects_non_finite():
