@@ -8,7 +8,21 @@ from pathlib import Path
 
 import pytest
 
+from tripath import cli
+
 GOLDEN = Path(__file__).parent / "golden"
+
+# Text output of the parent release, byte for byte (the CSV keeps csv's \r\n).
+TEXT_GOLDENS = {
+    "states.txt": ["states"],
+    "kd_N_2.txt": ["kd", "--state", "N_2"],
+    "kd_N_2.csv": ["kd", "--state", "N_2", "--csv"],
+    "classify_3.txt": ["classify", "--state", "3"],
+    "inequality_N_1.txt": ["inequality", "--state", "N_1"],
+    "inequality_max.txt": ["inequality", "--max"],
+    "basis.txt": ["basis"],
+    "verify.txt": ["verify"],
+}
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -62,6 +76,12 @@ def test_verify_json_golden():
     proc = run_cli("verify", "--json")
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "verify.json").read_text()
+
+
+@pytest.mark.parametrize("golden", sorted(TEXT_GOLDENS))
+def test_text_golden(golden, capsys):
+    assert cli.main(TEXT_GOLDENS[golden]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_bytes().decode("utf-8")
 
 
 def test_kd_csv():
