@@ -251,13 +251,6 @@ class ClassificationResult:
     def is_boundary(self) -> bool:
         return 0 in self.pattern
 
-    def to_json(self) -> dict:
-        return {
-            "state": [self.state.c1 + 0.0, self.state.c2 + 0.0, self.state.c3 + 0.0],
-            "pattern": pattern_string(self.pattern),
-            "labels": sorted(str(l) for l in self.labels),
-        }
-
 
 def classify(
     psi: RayState,

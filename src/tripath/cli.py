@@ -1,12 +1,17 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 on usage or input errors, 2 when the
-``verify`` suite finds a failing identity.
+Each handler computes its result once and returns ``(doc, lines,
+exit_code)``: the JSON document (None for ``atlas``) and the text lines.
+``main`` prints one or the other and is the only writer of command
+output.  Exit codes: 0 on success, 1 on usage or input errors, 2 when
+the ``verify`` suite finds a failing identity.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -21,10 +26,6 @@ from .errors import TripathError
 from .hilbert import RayState, inner, normalize
 
 _BASIS_TARGETS = {"Q(S2,D1)": "P1", "T(2,S1)": "S1", "T(1,f)": "f"}
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,21 +73,18 @@ def parse_amplitude(tok: str) -> float:
 def parse_amplitudes(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
-        raise _UsageError(f"expected three comma separated amplitudes, got {len(parts)}")
+        raise ValueError(f"expected three comma separated amplitudes, got {len(parts)}")
     try:
         return np.array([parse_amplitude(p) for p in parts])
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad amplitude in {text!r}: {exc}") from exc
+        raise ValueError(f"bad amplitude in {text!r}: {exc}") from exc
 
 
 def _state_from_args(args) -> tuple[RayState, str]:
-    if getattr(args, "state", None):
-        try:
-            named = states.resolve_state(args.state)
-        except TripathError as exc:
-            raise _UsageError(str(exc)) from exc
+    if args.state:
+        named = states.resolve_state(args.state)
         return named.ray, named.name
-    if getattr(args, "amplitudes", None):
+    if args.amplitudes:
         vec = parse_amplitudes(args.amplitudes)
         canonical = normalize(vec)  # raises on a zero or non-finite vector
         norm = math.hypot(*vec)  # neither overflows nor underflows
@@ -96,151 +94,126 @@ def _state_from_args(args) -> tuple[RayState, str]:
         if float(np.sign(vec) @ canonical.vector) < 0:
             canonical = canonical.flipped()
         return canonical, "custom"
-    raise _UsageError("select a state with --state NAME or --amplitudes a,b,c")
+    raise ValueError("select a state with --state NAME or --amplitudes a,b,c")
 
 
-def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
-
-
-def _components(ray: RayState) -> list[float]:
+def _num(x: float) -> float:
     # adding 0.0 turns IEEE negative zeros into plain zeros
-    return [ray.c1 + 0.0, ray.c2 + 0.0, ray.c3 + 0.0]
+    return x + 0.0
+
+
+def _signed(x: float, digits: int) -> str:
+    """Signed fixed point; a value that rounds to zero prints as +0.000..."""
+    return f"{_num(round(float(x), digits)):+.{digits}f}"
+
+
+def _vec(ray: RayState) -> list[float]:
+    return [_num(c) for c in ray]
 
 
 def _fmt_vec(ray: RayState) -> str:
-    return "({:+.9f}, {:+.9f}, {:+.9f})".format(*_components(ray))
+    return "(" + ", ".join(_signed(c, 9) for c in ray) + ")"
 
 
-def _cmd_states(args) -> int:
-    named = states.canonical_states()
-    if args.json:
-        _print_json(
-            {
-                "states": [
-                    {
-                        "name": s.name,
-                        "components": _components(s.ray),
-                        "orthogonal_to": list(s.orthogonal_to),
-                    }
-                    for s in named.values()
-                ]
-            }
-        )
-        return 0
-    for s in named.values():
-        print(f"{s.name:<9} {_fmt_vec(s.ray)}   perp: {', '.join(s.orthogonal_to)}")
-    return 0
+def _cmd_states(args):
+    named = states.canonical_states().values()
+    doc = {
+        "states": [
+            {"name": s.name, "components": _vec(s.ray), "orthogonal_to": list(s.orthogonal_to)}
+            for s in named
+        ]
+    }
+    lines = [f"{s.name:<9} {_fmt_vec(s.ray)}   perp: {', '.join(s.orthogonal_to)}" for s in named]
+    return doc, lines, 0
 
 
-def _cmd_kd(args) -> int:
+def _cmd_kd(args):
     ray, name = _state_from_args(args)
-    profile = kd.kd_profile(ray)
-    if args.json:
-        _print_json(kd.profile_to_json(profile, name))
-        return 0
+    values = kd.kd_profile(ray).values
+    doc = {
+        "name": name,
+        "state": _vec(ray),
+        "values": [
+            {"pair": [p.a, p.b], "kind": p.kind, "value": _num(v)}
+            for p, v in zip(kd.KD_PAIRS, values)
+        ],
+    }
     if args.csv:
-        sys.stdout.write(kd.profiles_to_csv([(name, profile)]))
-        return 0
-    print(f"state {name}: {_fmt_vec(ray)}")
-    for pair, value in zip(kd.KD_PAIRS, profile.values):
-        print(f"{pair.label:<11} {pair.kind:<6} {value + 0.0:+.10f}")
-    print(f"inner path probability sum: {kd.inequality_sum(ray):.10f}")
-    return 0
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["state"] + [p.label for p in kd.KD_PAIRS])
+        writer.writerow([name] + [repr(v) for v in values])
+        # csv ends every row with \r\n; print restores the final \n
+        return doc, [buf.getvalue().removesuffix("\n")], 0
+    lines = [f"state {name}: {_fmt_vec(ray)}"]
+    lines += [f"{p.label:<11} {p.kind:<6} {_signed(v, 10)}" for p, v in zip(kd.KD_PAIRS, values)]
+    lines.append(f"inner path probability sum: {kd.inequality_sum(ray):.10f}")
+    return doc, lines, 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     ray, name = _state_from_args(args)
     result = classify.classify(ray, tol=args.tol)
-    if args.json:
-        doc = {"name": name}
-        doc.update(result.to_json())
-        doc["boundary"] = result.is_boundary
-        _print_json(doc)
-        return 0
-    pattern = result.pattern
-    print(f"state {name}: {_fmt_vec(ray)}")
-    print(
-        "pattern  inner "
-        + classify.pattern_string(pattern[:5])
-        + "  outer "
-        + classify.pattern_string(pattern[5:])
-    )
-    print("labels   " + ", ".join(sorted(str(l) for l in result.labels)))
-    print("boundary " + ("yes" if result.is_boundary else "no"))
-    return 0
+    pattern = classify.pattern_string(result.pattern)
+    labels = sorted(str(l) for l in result.labels)
+    doc = {
+        "name": name,
+        "state": _vec(ray),
+        "pattern": pattern,
+        "labels": labels,
+        "boundary": result.is_boundary,
+    }
+    lines = [
+        f"state {name}: {_fmt_vec(ray)}",
+        f"pattern  inner {pattern[:5]}  outer {pattern[5:]}",
+        "labels   " + ", ".join(labels),
+        "boundary " + ("yes" if result.is_boundary else "no"),
+    ]
+    return doc, lines, 0
 
 
-def _cmd_inequality(args) -> int:
+def _cmd_inequality(args):
     if args.max:
-        state, violation = kd.max_violation()
-        probs = interferometer.probabilities(state)
-        if args.json:
-            _print_json(
-                {
-                    "name": "max-violation",
-                    "state": _components(state),
-                    "inner_sum": 1.0 - violation,
-                    "violation": violation,
-                    "input_probabilities": {p: probs[p] for p in ("1", "2", "3")},
-                }
-            )
-            return 0
-        print(f"state max-violation: {_fmt_vec(state)}")
-        print(f"inner sum  {1.0 - violation:.10f}")
-        print(f"violation  {violation:.10f}")
-        print(
-            "P(1), P(2), P(3) = "
-            + ", ".join(f"{probs[p]:.6f}" for p in ("1", "2", "3"))
-        )
-        return 0
-    ray, name = _state_from_args(args)
-    total = kd.inequality_sum(ray)
-    violation = max(0.0, 1.0 - total)
-    if args.json:
-        _print_json(
-            {
-                "name": name,
-                "state": _components(ray),
-                "inner_sum": total,
-                "violation": violation,
-            }
-        )
-        return 0
-    print(f"state {name}: {_fmt_vec(ray)}")
-    print(f"inner sum  {total:.10f}  (classical bound: at least 1)")
-    print(f"violation  {violation:.10f}")
-    return 0
+        ray, violation = kd.max_violation()
+        name, total = "max-violation", 1.0 - violation
+    else:
+        ray, name = _state_from_args(args)
+        total = kd.inequality_sum(ray)
+        violation = max(0.0, 1.0 - total)
+    doc = {"name": name, "state": _vec(ray), "inner_sum": total, "violation": violation}
+    bound = "" if args.max else "  (classical bound: at least 1)"
+    lines = [
+        f"state {name}: {_fmt_vec(ray)}",
+        f"inner sum  {total:.10f}{bound}",
+        f"violation  {violation:.10f}",
+    ]
+    if args.max:
+        probs = interferometer.probabilities(ray)
+        doc["input_probabilities"] = {p: probs[p] for p in ("1", "2", "3")}
+        lines.append("P(1), P(2), P(3) = " + ", ".join(f"{probs[p]:.6f}" for p in ("1", "2", "3")))
+    return doc, lines, 0
 
 
-def _cmd_basis(args) -> int:
-    basis = states.joint_basis()
+def _cmd_basis(args):
+    system = interferometer.default_system()
     rows = []
-    for b in basis:
+    for b in states.joint_basis():
         target = _BASIS_TARGETS[b.name]
-        fidelity = inner(b.ray, interferometer.default_system().ray(target)) ** 2
-        rows.append((b, target, fidelity))
-    if args.json:
-        _print_json(
-            {
-                "basis": [
-                    {
-                        "name": b.name,
-                        "components": _components(b.ray),
-                        "detector": target,
-                        "fidelity": fidelity,
-                    }
-                    for b, target, fidelity in rows
-                ]
-            }
-        )
-        return 0
-    for b, target, fidelity in rows:
-        print(f"{b.name:<9} {_fmt_vec(b.ray)}   detector {target}, fidelity {fidelity:.10f}")
-    return 0
+        rows.append((b, target, inner(b.ray, system.ray(target)) ** 2))
+    doc = {
+        "basis": [
+            {"name": b.name, "components": _vec(b.ray), "detector": target, "fidelity": fidelity}
+            for b, target, fidelity in rows
+        ]
+    }
+    lines = [
+        f"{b.name:<9} {_fmt_vec(b.ray)}   detector {target}, fidelity {fidelity:.10f}"
+        for b, target, fidelity in rows
+    ]
+    return doc, lines, 0
 
 
-def _cmd_atlas(args) -> int:
+def _cmd_atlas(args):
     outdir = Path(args.out or os.environ.get("TRIPATH_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     system = interferometer.default_system()
@@ -255,44 +228,32 @@ def _cmd_atlas(args) -> int:
         path.write_text(atlas.render(None, "vector", system))
         written.append(path)
     if args.tables:
-        for key, doc in atlas.export_canonical_tables(system).items():
+        for key, text in atlas.export_canonical_tables(system).items():
             path = outdir / f"{key}.csv"
-            path.write_text(doc, newline="")
+            path.write_text(text, newline="")
             written.append(path)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return None, [f"wrote {path}" for path in written], 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from . import verify as verify_mod
 
     results = verify_mod.run_checks()
-    failed = [r for r in results if not r.ok]
-    if args.json:
-        _print_json(
-            {
-                "checks": [
-                    {
-                        "ident": r.ident,
-                        "description": r.description,
-                        "ok": r.ok,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-                "failed": len(failed),
-            }
-        )
-        return 2 if failed else 0
-    for r in results:
-        mark = "ok  " if r.ok else "FAIL"
-        line = f"{mark} {r.ident:<24} {r.description}"
-        if not r.ok and r.detail:
-            line += f" [{r.detail}]"
-        print(line)
-    print(f"{len(results)} checks, {len(failed)} failed")
-    return 2 if failed else 0
+    failed = sum(not r.ok for r in results)
+    doc = {
+        "checks": [
+            {"ident": r.ident, "description": r.description, "ok": r.ok, "detail": r.detail}
+            for r in results
+        ],
+        "failed": failed,
+    }
+    lines = [
+        f"{'ok  ' if r.ok else 'FAIL'} {r.ident:<24} {r.description}"
+        + (f" [{r.detail}]" if not r.ok and r.detail else "")
+        for r in results
+    ]
+    lines.append(f"{len(results)} checks, {failed} failed")
+    return doc, lines, 2 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,40 +264,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("states", help="list the twenty named states")
+    def command(name, handler, help, state=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if state:
+            p.add_argument("--state", help="a named state, e.g. N_2, theta_3, S1")
+            p.add_argument(
+                "--amplitudes",
+                help="three comma separated amplitudes; fractions and surds work, e.g. '1/√3,1/√3,1/√3'",
+            )
+        return p
+
+    p = command("states", _cmd_states, "list the twenty named states")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_states)
 
-    def add_state_args(p):
-        p.add_argument("--state", help="a named state, e.g. N_2, theta_3, S1")
-        p.add_argument(
-            "--amplitudes",
-            help="three comma separated amplitudes; fractions and surds work, e.g. '1/√3,1/√3,1/√3'",
-        )
+    p = command("kd", _cmd_kd, "ten conditional quasi-probabilities of a state", state=True)
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--csv", action="store_true")
 
-    p = sub.add_parser("kd", help="ten conditional quasi-probabilities of a state")
-    add_state_args(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_kd)
-
-    p = sub.add_parser("classify", help="sub-class labels of a state")
-    add_state_args(p)
+    p = command("classify", _cmd_classify, "sub-class labels of a state", state=True)
     p.add_argument("--tol", type=float, default=classify.DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("inequality", help="inner path sum and its classical gap")
-    add_state_args(p)
+    p = command("inequality", _cmd_inequality, "inner path sum and its classical gap", state=True)
     p.add_argument("--max", action="store_true", help="show the maximally violating state")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_inequality)
 
-    p = sub.add_parser("basis", help="orthonormal basis of nonclassical states")
+    p = command("basis", _cmd_basis, "orthonormal basis of nonclassical states")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_basis)
 
-    p = sub.add_parser("atlas", help="render the sub-class chart and data tables")
+    p = command("atlas", _cmd_atlas, "render the sub-class chart and data tables")
     p.add_argument("--resolution", type=int, default=512)
     p.add_argument("--tol", type=float, default=classify.DEFAULT_TOL)
     p.add_argument("--format", choices=("raster", "vector", "both"), default="raster")
@@ -345,23 +303,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         help="output directory (default: $TRIPATH_OUTDIR or the working directory)",
     )
-    p.set_defaults(handler=_cmd_atlas)
 
-    p = sub.add_parser("verify", help="recompute the published reference values")
+    p = command("verify", _cmd_verify, "recompute the published reference values")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only place that writes command output."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except _UsageError as exc:
-        print(f"tripath: error: {exc}", file=sys.stderr)
-        return 1
+        doc, lines, code = args.handler(args)
+        for line in [json.dumps(doc, indent=2)] if getattr(args, "json", False) else lines:
+            print(line)
+        return code
     except (TripathError, OSError, ValueError) as exc:
         print(f"tripath: error: {exc}", file=sys.stderr)
         return 1

@@ -18,8 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidReflectivityError, UnknownPathError
-from .hilbert import RayState, inner, same_ray
+from .errors import InvalidReflectivityError, NonFiniteError, UnknownPathError
+from .hilbert import RayState, same_ray
 
 PATH_NAMES = ("1", "2", "3", "S1", "D1", "f", "P1", "P2", "S2", "D2")
 
@@ -183,8 +183,30 @@ def verify_closure(system: PathSystem, tol: float = 1e-12) -> bool:
     )
 
 
+@lru_cache(maxsize=4)
+def _path_matrix(system: PathSystem) -> np.ndarray:
+    return system.matrix()
+
+
+def _amplitudes(vectors: np.ndarray, system: PathSystem | None = None) -> np.ndarray:
+    """Path amplitudes <path|psi> of many rows, columns in PATH_NAMES order.
+
+    Raises NonFiniteError naming the rows that hold a NaN or infinity.
+    """
+    paths = _path_matrix(default_system() if system is None else system)
+    vectors = np.asarray(vectors, dtype=float)
+    if not np.isfinite(vectors).all():
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        raise NonFiniteError(f"non-finite coefficients in {len(bad)} rows, first {bad[:10].tolist()}")
+    if len(vectors) == 1:
+        # A one-row product runs through BLAS gemv, whose last bits differ
+        # from the gemm used for two or more rows; a doubled row keeps
+        # every value independent of the batch size.
+        return (np.concatenate([vectors, vectors]) @ paths.T)[:1]
+    return vectors @ paths.T
+
+
 def probabilities(psi: RayState, system: PathSystem | None = None) -> dict[str, float]:
     """Detection probability of every path for the state ``psi``."""
-    if system is None:
-        system = default_system()
-    return {name: inner(system.ray(name), psi) ** 2 for name in PATH_NAMES}
+    amps = _amplitudes(psi.vector[None, :], system)[0]
+    return dict(zip(PATH_NAMES, (amps * amps).tolist()))

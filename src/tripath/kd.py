@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
-from .errors import DegeneratePairError, NonFiniteError, UnknownPathError
+from .errors import DegeneratePairError, UnknownPathError
 from .hilbert import RayState, inner, normalize
-from .interferometer import INNER_PATHS, PATH_NAMES, PathSystem, default_system
+from .interferometer import INNER_PATHS, PATH_NAMES, PathSystem, _amplitudes, default_system
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,7 @@ INNER_SLICE = slice(0, 5)
 OUTER_SLICE = slice(5, 10)
 
 _PAIR_INDEX = {frozenset((p.a, p.b)): i for i, p in enumerate(KD_PAIRS)}
+_INNER_COLUMNS = [PATH_NAMES.index(k) for k in INNER_PATHS]
 
 # Per outer path, the context whose completeness turns three KD values
 # into the path probability; terms listed with the trajectory pair last.
@@ -103,31 +103,21 @@ def kd_value(psi: RayState, a: str, b: str, system: PathSystem | None = None) ->
 
 
 @lru_cache(maxsize=4)
-def _pair_geometry(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Path matrix, pair index arrays and the ten overlaps <a|b>, in KD_PAIRS order."""
+def _pair_geometry(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair index arrays and the ten overlaps <a|b>, in KD_PAIRS order."""
     paths = system.matrix()
     ia = np.array([PATH_NAMES.index(p.a) for p in KD_PAIRS])
     ib = np.array([PATH_NAMES.index(p.b) for p in KD_PAIRS])
     overlaps = np.array([float(paths[a] @ paths[b]) for a, b in zip(ia, ib)])
-    return paths, ia, ib, overlaps
+    return ia, ib, overlaps
 
 
 def _kd_kernel(vectors: np.ndarray, system: PathSystem | None) -> tuple[np.ndarray, np.ndarray]:
     """Path amplitudes <path|psi> (columns in PATH_NAMES order) and KD values of many rows."""
     if system is None:
         system = default_system()
-    paths, ia, ib, overlaps = _pair_geometry(system)
-    vectors = np.asarray(vectors, dtype=float)
-    if not np.isfinite(vectors).all():
-        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-        raise NonFiniteError(f"non-finite coefficients in {len(bad)} rows, first {bad[:10].tolist()}")
-    if len(vectors) == 1:
-        # A one-row product runs through BLAS gemv, whose last bits differ
-        # from the gemm used for two or more rows; a doubled row keeps
-        # every value independent of the batch size.
-        amps = (np.concatenate([vectors, vectors]) @ paths.T)[:1]
-    else:
-        amps = vectors @ paths.T
+    ia, ib, overlaps = _pair_geometry(system)
+    amps = _amplitudes(vectors, system)
     values = amps[:, ia]
     values *= overlaps
     values *= amps[:, ib]
@@ -173,11 +163,8 @@ def inequality_sum(psi: RayState, system: PathSystem | None = None) -> float:
     Any assignment of one definite path per context forces this sum to
     at least 1; quantum states can dip below.
     """
-    if system is None:
-        system = default_system()
-    return float(
-        sum(inner(system.ray(k), psi) ** 2 for k in INNER_PATHS)
-    )
+    amps = _amplitudes(psi.vector[None, :], system)[0, _INNER_COLUMNS]
+    return float(sum((amps * amps).tolist()))
 
 
 def inequality_operator(system: PathSystem | None = None) -> np.ndarray:
@@ -263,30 +250,3 @@ def extremal_kd_on_circle(
         min_state=normalize(points[lo]),
         min_value=float(rho[lo]),
     )
-
-
-def profile_to_json(profile: KDProfile, label: str | None = None) -> dict:
-    """Structured record of one profile, stable key order."""
-    doc: dict = {}
-    if label is not None:
-        doc["name"] = label
-    # adding 0.0 drops IEEE negative zeros from the serialized floats
-    doc["state"] = [profile.state.c1 + 0.0, profile.state.c2 + 0.0, profile.state.c3 + 0.0]
-    doc["values"] = [
-        {"pair": [p.a, p.b], "kind": p.kind, "value": v + 0.0}
-        for p, v in zip(KD_PAIRS, profile.values)
-    ]
-    return doc
-
-
-def profiles_to_csv(rows: Iterable[tuple[str, KDProfile]]) -> str:
-    """CSV document of labeled profiles, one row per state."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["state"] + [p.label for p in KD_PAIRS])
-    for label, profile in rows:
-        writer.writerow([label] + [repr(v) for v in profile.values])
-    return buf.getvalue()

@@ -34,6 +34,7 @@ from .interferometer import (
     OPPOSITE_OUTER,
     OUTER_CYCLE,
     OUTER_PATHS,
+    PATH_NAMES,
     PathSystem,
     default_system,
     probabilities,
@@ -139,20 +140,24 @@ def _path_definition(name: str) -> tuple[str, str]:
     return (first.inner_path, second.inner_path)
 
 
+@lru_cache(maxsize=4)
+def _canonical_states_cached(system: PathSystem) -> tuple[NamedState, ...]:
+    return (
+        *(NamedState(n, system.ray(n), _path_definition(n)) for n in PATH_NAMES),
+        *(n_state(i, system) for i in ("f", "1", "S2", "S1", "2")),
+        *(theta_state(k, system) for k in ("3", "D1", "P1", "P2", "D2")),
+    )
+
+
 def canonical_states(system: PathSystem | None = None) -> dict[str, NamedState]:
-    """The twenty named states: ten paths, five N corners, five theta states."""
+    """The twenty named states: ten paths, five N corners, five theta states.
+
+    Built once per system; each call returns a fresh dict, so a caller
+    that changes it changes no later result.
+    """
     if system is None:
         system = default_system()
-    out: dict[str, NamedState] = {}
-    for name in ("1", "2", "3", "S1", "D1", "f", "P1", "P2", "S2", "D2"):
-        out[name] = NamedState(name, system.ray(name), _path_definition(name))
-    for i in ("f", "1", "S2", "S1", "2"):
-        s = n_state(i, system)
-        out[s.name] = s
-    for k in ("3", "D1", "P1", "P2", "D2"):
-        s = theta_state(k, system)
-        out[s.name] = s
-    return out
+    return {s.name: s for s in _canonical_states_cached(system)}
 
 
 def resolve_state(name: str, system: PathSystem | None = None) -> NamedState:

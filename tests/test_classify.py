@@ -147,13 +147,6 @@ def test_zero_tol_keeps_the_default_label_sets(system, named):
     assert len(classify.classify(system.ray("f"), system, tol=0.0).labels) == 8
 
 
-def test_result_json(system, named):
-    doc = classify.classify(named["theta_3"].ray, system).to_json()
-    assert set(doc) == {"state", "pattern", "labels"}
-    assert len(doc["pattern"]) == 10
-    assert doc["labels"] == sorted(doc["labels"])
-
-
 def test_label_for_unknown_pattern(table):
     assert table.label_for((-1,) * 10) is None
     assert table.label_for((1,) * 10) is None

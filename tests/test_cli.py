@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tripath import cli
+from tripath import cli, states
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,6 +82,29 @@ def test_verify_json_golden():
 def test_text_golden(golden, capsys):
     assert cli.main(TEXT_GOLDENS[golden]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_bytes().decode("utf-8")
+
+
+def test_kd_text_has_no_negative_zero(capsys):
+    names = list(states.canonical_states()) + [b.name for b in states.joint_basis()]
+    for name in names:
+        assert cli.main(["kd", "--state", name]) == 0
+        assert "-0.0000000000" not in capsys.readouterr().out, name
+
+
+def test_kd_text_at_extreme_scale(capsys):
+    assert cli.main(["kd", "--amplitudes", "1e308,1e308,1"]) == 0
+    big = capsys.readouterr().out
+    assert cli.main(["kd", "--amplitudes", "1,1,0"]) == 0
+    assert big == capsys.readouterr().out
+
+
+def test_kd_json_and_csv_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kd", "--state", "N_2", "--json", "--csv"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --json" in captured.err
 
 
 def test_kd_csv():

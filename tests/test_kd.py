@@ -1,6 +1,3 @@
-import csv
-import io
-import json
 import math
 
 import numpy as np
@@ -246,21 +243,6 @@ def test_scan_rejects_degenerate_pairs(system):
         kd.extremal_kd_on_circle("1", "3", 1000, system)
     with pytest.raises(ValueError):
         kd.extremal_kd_on_circle("1", "f", 2, system)
-
-
-def test_profile_json_and_csv(system, named):
-    profile = kd.kd_profile(named["N_1"].ray, system)
-    doc = kd.profile_to_json(profile, "N_1")
-    assert doc["name"] == "N_1"
-    assert len(doc["values"]) == 10
-    json.dumps(doc)  # serializable
-
-    text = kd.profiles_to_csv([("N_1", profile)])
-    rows = list(csv.reader(io.StringIO(text)))
-    assert len(rows) == 2
-    assert rows[0] == ["state"] + [p.label for p in kd.KD_PAIRS]
-    assert rows[1][0] == "N_1"
-    assert float(rows[1][1]) == pytest.approx(profile.values[0])
 
 
 unit_vec = st.lists(

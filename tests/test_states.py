@@ -94,6 +94,15 @@ def test_canonical_states_order_and_count(named):
     assert keys[15:] == list(states.THETA_ORDER)
 
 
+def test_canonical_states_returns_a_fresh_dict(system):
+    first = states.canonical_states(system)
+    second = states.canonical_states(system)
+    assert first == second and first is not second
+    first["N_2"] = first.pop("N_1")
+    assert states.canonical_states(system) == second
+    assert len(second) == 20 and second["N_2"].name == "N_2"
+
+
 def test_named_state_invariant(system, named):
     # every named state is orthogonal to both paths in its definition
     for s in named.values():
