@@ -20,6 +20,7 @@ from .classify import (
 )
 from .errors import (
     DegeneratePairError,
+    InvalidInputError,
     InvalidReflectivityError,
     NonFiniteError,
     TableInconsistencyError,
@@ -50,7 +51,6 @@ from .kd import (
     inequality_sum,
     kd_negative_bound,
     kd_profile,
-    kd_value,
     max_violation,
 )
 from .states import canonical_states, decompose_in_basis, joint_basis, n_state, resolve_state, theta_state
@@ -66,6 +66,7 @@ __all__ = [
     "DegeneratePairError",
     "INNER_PATHS",
     "InterferometerSpec",
+    "InvalidInputError",
     "InvalidReflectivityError",
     "KDPair",
     "KDProfile",
@@ -96,7 +97,6 @@ __all__ = [
     "joint_basis",
     "kd_negative_bound",
     "kd_profile",
-    "kd_value",
     "max_violation",
     "mirror_label",
     "n_state",

@@ -25,7 +25,7 @@ from .classify import (
     classify,
     classify_batch,
 )
-from .errors import UnsupportedFormatError
+from .errors import InvalidInputError, UnsupportedFormatError
 from .hilbert import circle_points, hemisphere_project
 from .interferometer import PATH_NAMES, PathSystem, default_system, probabilities
 from .kd import KD_PAIRS, inequality_sum, kd_profile
@@ -47,16 +47,6 @@ class AtlasGrid:
     resolution: int
     tol: float
     labels: np.ndarray
-
-    def pixel_center(self, ix: int, iy: int) -> tuple[float, float]:
-        u = (ix + 0.5) * 2.0 / self.resolution - 1.0
-        v = 1.0 - (iy + 0.5) * 2.0 / self.resolution
-        return u, v
-
-    def nearest_pixel(self, u: float, v: float) -> tuple[int, int]:
-        ix = int(np.clip(round((u + 1.0) * self.resolution / 2.0 - 0.5), 0, self.resolution - 1))
-        iy = int(np.clip(round((1.0 - v) * self.resolution / 2.0 - 0.5), 0, self.resolution - 1))
-        return ix, iy
 
     def label_counts(self) -> dict[ClassLabel, int]:
         out = {}
@@ -80,7 +70,7 @@ def sample_atlas(
 ) -> AtlasGrid:
     """Classify every pixel of a resolution x resolution chart."""
     if resolution < 16:
-        raise ValueError("atlas resolution must be at least 16")
+        raise InvalidInputError("atlas resolution must be at least 16")
     if system is None:
         system = default_system()
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
@@ -128,7 +118,7 @@ def render(
     """
     if fmt == "raster":
         if grid is None:
-            raise ValueError("raster rendering needs a sampled grid")
+            raise InvalidInputError("raster rendering needs a sampled grid")
         return _render_ppm(grid)
     if fmt == "vector":
         return _render_svg(system or default_system())

@@ -77,14 +77,6 @@ class ClassLabel:
             return self.cls
         return f"{self.cls}({','.join(self.params)})"
 
-    @classmethod
-    def parse(cls, text: str) -> "ClassLabel":
-        text = text.strip()
-        if "(" not in text:
-            return cls(text)
-        head, _, tail = text.partition("(")
-        return cls(head, tuple(tail.rstrip(")").split(",")))
-
 
 SignPattern = tuple[int, ...]
 
@@ -174,12 +166,6 @@ class SubclassTable:
     patterns: tuple[SignPattern, ...]
     cell_labels: np.ndarray = field(repr=False, compare=False)
     cell_signs: np.ndarray = field(repr=False, compare=False)
-
-    def label_for(self, pattern: SignPattern) -> ClassLabel | None:
-        try:
-            return self.labels[self.patterns.index(pattern)]
-        except ValueError:
-            return None
 
     def pattern_for(self, label: ClassLabel) -> SignPattern:
         try:

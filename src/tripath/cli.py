@@ -10,8 +10,6 @@ the ``verify`` suite finds a failing identity.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -81,20 +79,19 @@ def parse_amplitudes(text: str) -> np.ndarray:
 
 
 def _state_from_args(args) -> tuple[RayState, str]:
-    if args.state:
+    # the parser requires exactly one of --state and --amplitudes
+    if args.state is not None:
         named = states.resolve_state(args.state)
         return named.ray, named.name
-    if args.amplitudes:
-        vec = parse_amplitudes(args.amplitudes)
-        canonical = normalize(vec)  # raises on a zero or non-finite vector
-        norm = math.hypot(*vec)  # neither overflows nor underflows
-        if abs(norm - 1.0) > 1e-9:
-            print(f"note: normalizing amplitudes (norm was {norm:.12g})", file=sys.stderr)
-        # keep the sign the caller typed
-        if float(np.sign(vec) @ canonical.vector) < 0:
-            canonical = canonical.flipped()
-        return canonical, "custom"
-    raise ValueError("select a state with --state NAME or --amplitudes a,b,c")
+    vec = parse_amplitudes(args.amplitudes)
+    canonical = normalize(vec)  # raises on a zero or non-finite vector
+    norm = math.hypot(*vec)  # neither overflows nor underflows
+    if abs(norm - 1.0) > 1e-9:
+        print(f"note: normalizing amplitudes (norm was {norm:.12g})", file=sys.stderr)
+    # keep the sign the caller typed
+    if float(np.sign(vec) @ canonical.vector) < 0:
+        canonical = canonical.flipped()
+    return canonical, "custom"
 
 
 def _num(x: float) -> float:
@@ -139,12 +136,10 @@ def _cmd_kd(args):
         ],
     }
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["state"] + [p.label for p in kd.KD_PAIRS])
-        writer.writerow([name] + [repr(v) for v in values])
+        header = ["state"] + [p.label for p in kd.KD_PAIRS]
+        text = atlas._csv_doc(header, [[name] + [repr(v) for v in values]])
         # csv ends every row with \r\n; print restores the final \n
-        return doc, [buf.getvalue().removesuffix("\n")], 0
+        return doc, [text.removesuffix("\n")], 0
     lines = [f"state {name}: {_fmt_vec(ray)}"]
     lines += [f"{p.label:<11} {p.kind:<6} {_signed(v, 10)}" for p, v in zip(kd.KD_PAIRS, values)]
     lines.append(f"inner path probability sum: {kd.inequality_sum(ray):.10f}")
@@ -264,31 +259,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, state=False):
+    def command(name, handler, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        if state:
-            p.add_argument("--state", help="a named state, e.g. N_2, theta_3, S1")
-            p.add_argument(
-                "--amplitudes",
-                help="three comma separated amplitudes; fractions and surds work, e.g. '1/√3,1/√3,1/√3'",
-            )
         return p
+
+    def state_group(p):
+        """--state and --amplitudes, exactly one of which is required."""
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--state", help="a named state, e.g. N_2, theta_3, S1")
+        group.add_argument(
+            "--amplitudes",
+            help="three comma separated amplitudes; fractions and surds work, e.g. '1/√3,1/√3,1/√3'",
+        )
+        return group
 
     p = command("states", _cmd_states, "list the twenty named states")
     p.add_argument("--json", action="store_true")
 
-    p = command("kd", _cmd_kd, "ten conditional quasi-probabilities of a state", state=True)
+    p = command("kd", _cmd_kd, "ten conditional quasi-probabilities of a state")
+    state_group(p)
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true")
     out.add_argument("--csv", action="store_true")
 
-    p = command("classify", _cmd_classify, "sub-class labels of a state", state=True)
+    p = command("classify", _cmd_classify, "sub-class labels of a state")
+    state_group(p)
     p.add_argument("--tol", type=float, default=classify.DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
 
-    p = command("inequality", _cmd_inequality, "inner path sum and its classical gap", state=True)
-    p.add_argument("--max", action="store_true", help="show the maximally violating state")
+    p = command("inequality", _cmd_inequality, "inner path sum and its classical gap")
+    state_group(p).add_argument("--max", action="store_true", help="show the maximally violating state")
     p.add_argument("--json", action="store_true")
 
     p = command("basis", _cmd_basis, "orthonormal basis of nonclassical states")

@@ -7,6 +7,11 @@ class TripathError(Exception):
     """Base class for all package specific errors."""
 
 
+class InvalidInputError(TripathError, ValueError):
+    """Raised for an argument outside what the function accepts: a wrong
+    shape, a norm other than 1, a point off the chart, a count too small."""
+
+
 class ZeroVectorError(TripathError, ValueError):
     """Raised when the zero vector would have to be normalized."""
 

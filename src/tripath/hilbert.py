@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePairError, NonFiniteError, ZeroVectorError
+from .errors import DegeneratePairError, InvalidInputError, NonFiniteError, ZeroVectorError
 
 COEFF_TOL = 1e-12
 
@@ -34,7 +34,7 @@ class RayState:
     def __post_init__(self) -> None:
         norm = math.sqrt(self.c1 * self.c1 + self.c2 * self.c2 + self.c3 * self.c3)
         if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN
-            raise ValueError(f"ray coefficients have norm {norm!r}, expected 1")
+            raise InvalidInputError(f"ray coefficients have norm {norm!r}, expected 1")
 
     @property
     def vector(self) -> np.ndarray:
@@ -42,8 +42,7 @@ class RayState:
 
     def canonical(self) -> "RayState":
         """Representative with the first coefficient above 1e-12 positive."""
-        v = self.vector
-        return RayState(*_canonical_sign(v))
+        return RayState(*_canonical_sign(self.vector))
 
     def flipped(self) -> "RayState":
         return RayState(-self.c1, -self.c2, -self.c3)
@@ -61,7 +60,7 @@ class SpherePoint:
 
     def __post_init__(self) -> None:
         if self.u * self.u + self.v * self.v > 1.0 + 1e-9:
-            raise ValueError("projected point lies outside the unit disk")
+            raise InvalidInputError("projected point lies outside the unit disk")
 
 
 def _as_array(v: RayState | Sequence[float] | np.ndarray) -> np.ndarray:
@@ -69,7 +68,7 @@ def _as_array(v: RayState | Sequence[float] | np.ndarray) -> np.ndarray:
         return v.vector
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
+        raise InvalidInputError(f"expected a 3-vector, got shape {arr.shape}")
     return arr
 
 
@@ -95,9 +94,7 @@ def normalize(v: Sequence[float] | np.ndarray) -> RayState:
     ZeroVectorError
         If ``v`` is the zero vector.
     """
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
+    arr = _as_array(v)
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"cannot normalize non-finite coefficients {arr.tolist()}")
     arr = np.ldexp(arr, -np.frexp(np.abs(arr).max())[1])
@@ -137,18 +134,10 @@ def orthogonal_to_pair(a: RayState | Sequence[float], b: RayState | Sequence[flo
 def hemisphere_project(psi: RayState | Sequence[float]) -> SpherePoint:
     """Project a ray onto the c1 >= 0 hemisphere chart.
 
-    The representative with c1 > 0 is projected to (c2, c3).  Equator
-    rays (c1 = 0) use the canonical sign of c2, then of c3, to pick the
-    representative.
+    The canonical representative is projected to (c2, c3): c1 > 0, and
+    on the equator (c1 = 0) the sign of c2, then of c3, picks it.
     """
-    v = _as_array(psi)
-    if v[0] < -COEFF_TOL:
-        v = -v
-    elif abs(v[0]) <= COEFF_TOL:
-        if v[1] < -COEFF_TOL:
-            v = -v
-        elif abs(v[1]) <= COEFF_TOL and v[2] < 0:
-            v = -v
+    v = _canonical_sign(_as_array(psi))
     return SpherePoint(float(v[1]), float(v[2]))
 
 

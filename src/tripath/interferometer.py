@@ -77,14 +77,11 @@ class InterferometerSpec:
     r2: float = 1 / 2
 
     def __post_init__(self) -> None:
-        for name, r in self.as_dict().items():
+        for name, r in vars(self).items():
             if not 0.0 < r < 1.0:
                 raise InvalidReflectivityError(
                     f"reflectivity {name}={r!r} outside the open interval (0, 1)"
                 )
-
-    def as_dict(self) -> dict[str, float]:
-        return {"r1": self.r1, "rS1": self.rS1, "rf": self.rf, "rS2": self.rS2, "r2": self.r2}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "InterferometerSpec":
@@ -111,7 +108,7 @@ class InterferometerSpec:
 
 @dataclass(frozen=True, eq=False)
 class PathSystem:
-    """The ten path states and five contexts built from a reflectivity spec.
+    """The ten path states and three output states built from a reflectivity spec.
 
     Path vectors keep the orientation the cascade produces, which is what
     makes inner products between physically consecutive paths carry
@@ -122,7 +119,6 @@ class PathSystem:
     spec: InterferometerSpec
     paths: Mapping[str, RayState]
     outputs: Mapping[str, RayState]
-    contexts: tuple[Context, ...] = CONTEXTS
 
     def ray(self, name: str) -> RayState:
         try:
@@ -130,9 +126,9 @@ class PathSystem:
         except KeyError:
             raise UnknownPathError(f"unknown path {name!r}") from None
 
-    def matrix(self, names: tuple[str, ...] = PATH_NAMES) -> np.ndarray:
-        """Rows of path vectors in the given name order."""
-        return np.array([self.ray(n).vector for n in names])
+    def matrix(self) -> np.ndarray:
+        """Rows of path vectors in PATH_NAMES order."""
+        return np.array([self.ray(n).vector for n in PATH_NAMES])
 
 
 def _splitter(outer: np.ndarray, mid: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:

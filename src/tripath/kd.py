@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegeneratePairError, UnknownPathError
+from .errors import DegeneratePairError, InvalidInputError, UnknownPathError
 from .hilbert import RayState, inner, normalize
 from .interferometer import INNER_PATHS, PATH_NAMES, PathSystem, _amplitudes, default_system
 
@@ -52,9 +52,6 @@ KD_PAIRS = (
     KDPair("S1", "S2", "outer"),
 )
 
-INNER_SLICE = slice(0, 5)
-OUTER_SLICE = slice(5, 10)
-
 _PAIR_INDEX = {frozenset((p.a, p.b)): i for i, p in enumerate(KD_PAIRS)}
 _INNER_COLUMNS = [PATH_NAMES.index(k) for k in INNER_PATHS]
 
@@ -81,25 +78,6 @@ class KDProfile:
             return self.values[_PAIR_INDEX[frozenset((a, b))]]
         except KeyError:
             raise UnknownPathError(f"({a},{b}) is not a canonical pair") from None
-
-    @property
-    def inner_values(self) -> tuple[float, ...]:
-        return self.values[INNER_SLICE]
-
-    @property
-    def outer_values(self) -> tuple[float, ...]:
-        return self.values[OUTER_SLICE]
-
-    def as_dict(self) -> dict[str, float]:
-        return {p.label: v for p, v in zip(KD_PAIRS, self.values)}
-
-
-def kd_value(psi: RayState, a: str, b: str, system: PathSystem | None = None) -> float:
-    """rho(a, b) for any two distinct paths, canonical pair or not."""
-    if system is None:
-        system = default_system()
-    va, vb = system.ray(a), system.ray(b)
-    return inner(vb, va) * inner(va, psi) * inner(psi, vb)
 
 
 @lru_cache(maxsize=4)
@@ -148,13 +126,8 @@ def decompose_outer(
     """
     if i not in DECOMPOSITION_PAIRS:
         raise UnknownPathError(f"decompose_outer expects an outer path, got {i!r}")
-    if system is None:
-        system = default_system()
-    out = []
-    for a, b in DECOMPOSITION_PAIRS[i]:
-        pair = KD_PAIRS[_PAIR_INDEX[frozenset((a, b))]]
-        out.append((pair, kd_value(psi, a, b, system)))
-    return out
+    profile = kd_profile(psi, system)
+    return [(KD_PAIRS[_PAIR_INDEX[frozenset(ab)]], profile.value(*ab)) for ab in DECOMPOSITION_PAIRS[i]]
 
 
 def inequality_sum(psi: RayState, system: PathSystem | None = None) -> float:
@@ -227,7 +200,7 @@ def extremal_kd_on_circle(
     a mutually orthogonal pair of rays, so a dense scan brackets both.
     """
     if n < 4:
-        raise ValueError("need at least 4 scan samples")
+        raise InvalidInputError("need at least 4 scan samples")
     if system is None:
         system = default_system()
     va = system.ray(a).vector

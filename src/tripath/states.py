@@ -42,7 +42,6 @@ from .interferometer import (
 
 N_STATE_ORDER = ("N_f", "N_1", "N_S2", "N_S1", "N_2")
 THETA_ORDER = ("theta_3", "theta_D1", "theta_P1", "theta_P2", "theta_D2")
-BASIS_ORDER = ("Q(S2,D1)", "T(2,S1)", "T(1,f)")
 
 
 @dataclass(frozen=True)

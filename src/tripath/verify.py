@@ -106,7 +106,7 @@ def _rho(p: kd.KDProfile, a: str, b: str, want: float, prefix: str = "") -> Comp
 
 
 def _kd(s: PathSystem, r: Rays, name: str, a: str, b: str, want: float) -> Comparison:
-    return f"{name} rho({a},{b})", kd.kd_value(r[name], a, b, s), want, 1e-12
+    return _rho(kd.kd_profile(r[name], s), a, b, want, f"{name} ")
 
 
 def _inside(what: str, x: float, lo: float, hi: float) -> Comparison:

@@ -29,6 +29,11 @@ def random_unit_vectors(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def pixel_center(resolution, ix, iy):
+    """Chart coordinates (u, v) of pixel (ix, iy); row 0 is the top, v = +1."""
+    return (ix + 0.5) * 2.0 / resolution - 1.0, 1.0 - (iy + 0.5) * 2.0 / resolution
+
+
 def fibonacci_sphere(n):
     golden = (1.0 + 5.0**0.5) / 2.0
     i = np.arange(n)

@@ -14,7 +14,7 @@ from tripath import interferometer as itf
 from tripath.classify import ALL_LABELS, ClassLabel, NEGATIVITY_SIGNATURE
 from tripath.hilbert import inner, normalize, same_ray
 
-from conftest import brute_force_min_inner_sum, random_unit_vectors
+from conftest import brute_force_min_inner_sum, pixel_center, random_unit_vectors
 
 S2 = math.sqrt(2.0)
 S3 = math.sqrt(3.0)
@@ -214,7 +214,7 @@ def test_criterion_08_joint_basis(system):
         ("T(1,f)", ("S2", "D1"), -2 / 35),
     ]
     for bname, pair, w in negatives:
-        got = kd.kd_value(basis[bname], *pair, system)
+        got = kd.kd_profile(basis[bname], system).value(*pair)
         if abs(got - w) > 1e-12:
             problems.append(f"negative KD value of {bname} at rho{pair} off")
     t2f = normalize(np.array([1, 4, -2]) / math.sqrt(21))
@@ -295,7 +295,7 @@ def test_criterion_10_atlas(system, rng):
         idx = int(grid.labels[iy, ix])
         if idx < 0:
             continue
-        u, v = grid.pixel_center(ix, iy)
+        u, v = pixel_center(512, ix, iy)
         c1 = float(np.sqrt(max(0.0, 1.0 - u * u - v * v)))
         mirrored = normalize([u, c1, v])
         result = classify.classify(mirrored, system)

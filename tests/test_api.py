@@ -1,0 +1,36 @@
+import types
+
+import pytest
+
+import tripath
+from tripath import atlas, hilbert, kd
+from tripath.errors import InvalidInputError, TripathError
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(tripath).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(tripath.__all__) == public
+    assert len(tripath.__all__) == len(set(tripath.__all__))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hilbert.RayState(1.0, 1.0, 0.0), "norm"),
+        (lambda: hilbert.normalize([1.0, 2.0]), "3-vector"),
+        (lambda: hilbert.SpherePoint(1.0, 1.0), "outside the unit disk"),
+        (lambda: atlas.sample_atlas(8), "at least 16"),
+        (lambda: atlas.render(None, "raster"), "needs a sampled grid"),
+        (lambda: kd.extremal_kd_on_circle("S1", "S2", n=3), "at least 4"),
+    ],
+    ids=["ray-norm", "vector-shape", "sphere-point", "atlas-resolution", "raster-grid", "scan-samples"],
+)
+def test_bad_caller_input_raises_a_typed_error(call, message):
+    with pytest.raises(InvalidInputError, match=message) as info:
+        call()
+    assert isinstance(info.value, TripathError)
+    assert isinstance(info.value, ValueError)

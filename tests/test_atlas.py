@@ -11,6 +11,8 @@ from tripath.classify import ClassLabel
 from tripath.errors import UnsupportedFormatError
 from tripath.hilbert import normalize
 
+from conftest import pixel_center
+
 GOLDEN_PPM_64_SHA256 = "648ad8f54e87204648e9bcf4c4f58d9b28a36f57f347090609a43842114cd220"
 
 
@@ -47,16 +49,10 @@ def test_center_pixel_is_path_1(system):
     # odd resolution puts a pixel center exactly at the chart origin
     g = atlas.sample_atlas(127, system=system)
     iy = ix = 127 // 2
-    u, v = g.pixel_center(ix, iy)
+    u, v = pixel_center(g.resolution, ix, iy)
     assert u == pytest.approx(0.0, abs=1e-12) and v == pytest.approx(0.0, abs=1e-12)
     # |1> sits on several zero circles at once
     assert g.labels[iy, ix] == atlas.BOUNDARY
-
-
-def test_pixel_roundtrip(grid):
-    for ix, iy in ((0, 0), (13, 200), (255, 7)):
-        u, v = grid.pixel_center(ix, iy)
-        assert grid.nearest_pixel(u, v) == (ix, iy)
 
 
 def test_all_labels_present_at_256(grid):
@@ -129,7 +125,7 @@ def test_mirror_correspondence_on_pixel_pairs(system, grid, rng):
         idx = int(grid.labels[iy, ix])
         if idx < 0:
             continue
-        u, v = grid.pixel_center(ix, iy)
+        u, v = pixel_center(res, ix, iy)
         c1 = float(np.sqrt(max(0.0, 1.0 - u * u - v * v)))
         mirrored = normalize([u, c1, v])  # swap of the first two amplitudes
         result = classify.classify(mirrored, system)

@@ -156,7 +156,23 @@ def test_inequality_max():
 def test_inequality_requires_a_state():
     proc = run_cli("inequality")
     assert proc.returncode == 1
-    assert "select a state" in proc.stderr
+    assert "one of the arguments --state --amplitudes --max is required" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["kd", "--state", "N_1", "--amplitudes", "1,0,0"], "--amplitudes: not allowed with argument --state"),
+        (["inequality", "--max", "--state", "N_1"], "--state: not allowed with argument --max"),
+    ],
+)
+def test_state_selectors_exclude_each_other(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_unknown_state_name():

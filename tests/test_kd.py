@@ -39,8 +39,6 @@ def test_profile_against_direct_formula(system, rng):
 def test_profile_value_lookup(system, named):
     p = kd.kd_profile(named["theta_3"].ray, system)
     assert p.value("S1", "S2") == p.value("S2", "S1")
-    assert len(p.inner_values) == 5 and len(p.outer_values) == 5
-    assert set(p.as_dict()) == {pair.label for pair in kd.KD_PAIRS}
     with pytest.raises(UnknownPathError):
         p.value("1", "2")
 
@@ -259,5 +257,5 @@ def test_outer_probability_identity(v):
     profile = kd.kd_profile(psi)
     probs = probabilities(psi)
     lhs = sum(probs[i] for i in OUTER_PATHS)
-    rhs = 2.0 * sum(profile.outer_values) + sum(profile.inner_values)
+    rhs = 2.0 * sum(profile.values[5:]) + sum(profile.values[:5])
     assert lhs == pytest.approx(rhs, abs=1e-10)

@@ -112,7 +112,7 @@ def test_named_state_invariant(system, named):
 
 def test_joint_basis_closed_forms(system):
     basis = states.joint_basis(system)
-    assert tuple(b.name for b in basis) == states.BASIS_ORDER
+    assert tuple(b.name for b in basis) == tuple(BASIS_EXPECTED)
     for b in basis:
         assert same_ray(b.ray, BASIS_EXPECTED[b.name], tol=1e-12)
 
