@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,8 @@ from tripath.hilbert import inner, normalize
 from tripath.interferometer import PATH_NAMES
 
 from conftest import random_unit_vectors
+
+GOLDEN = Path(__file__).parent / "golden" / "subclass_table.json"
 
 
 def test_class_label_str():
@@ -193,6 +198,16 @@ def test_cell_table(system, table):
             for p in kd.KD_PAIRS
         )
         assert rebuilt == pattern, str(label)
+
+
+def test_subclass_table_golden(table):
+    want = json.loads(GOLDEN.read_text())
+    assert [str(l) for l in table.labels] == want["labels"]
+    assert [list(p) for p in table.patterns] == want["patterns"]
+    assert table.cell_labels.dtype == np.int16
+    assert table.cell_labels.tolist() == [i for row in want["cell_labels"] for i in row]
+    assert table.cell_signs.dtype == np.float64
+    assert table.cell_signs.tolist() == want["cell_signs"]
 
 
 def test_batch_names_non_finite_rows(system):
