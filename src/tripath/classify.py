@@ -20,14 +20,21 @@ pairs are exactly (i,k) and (j,k) for each trajectory {i, k, j}:
 (1,D2), (f,D2), (1,P1), (S2,P1), (S1,3), (S2,3), (2,P2), (S1,P2),
 (2,D1), (f,D1).
 
-The sub-class table is built numerically: for each polygon, average the
-corner rays (signs aligned first), normalize, and read off the interior
-amplitude signs and KD sign pattern.  The ten canonical pairs form the
-outer 5-cycle 1-f-2-S1-S2 with one inner path hanging off each outer
-path, so the KD signs fix the amplitude signs up to a global flip, and
-the first nine pairs, a spanning tree of that graph, already do: their
-signs give a 9-bit cell code, 512 codes of which 31 are sub-classes.
-The tenth pair closes the cycle; its sign follows from the others.
+The sub-class table is derived from the circles alone.  The cross
+products of the 45 path pairs give the 20 vertex rays: the ten paths and
+the five N and five theta states.  An amplitude sign vector, path 1
+positive, is a cell when the sum of the signed vertices in its closed
+cone lies strictly inside it; that sum, normalized, is the centroid.
+The centroid's KD negativity counts give the class, and the path states
+among the cell's corners the parameters, outer paths first (T drops its
+inner path).
+
+The ten canonical pairs form the outer 5-cycle 1-f-2-S1-S2 with one
+inner path hanging off each outer path, so the KD signs fix the
+amplitude signs up to a global flip, and the first nine pairs, a
+spanning tree of that graph, already do: their signs give a 9-bit cell
+code, 512 codes of which 31 are sub-classes.  The tenth pair closes the
+cycle; its sign follows from the others.
 
 A ray with amplitudes within tol of zero lies on those circles.  It is
 given every sub-class whose cell agrees with its other amplitude signs:
@@ -38,14 +45,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
-from .errors import TableInconsistencyError, UnknownPatternError
-from .hilbert import RayState, normalize
-from .interferometer import PathSystem, default_system
+from .errors import InvalidInputError, TableInconsistencyError, UnknownPatternError
+from .hilbert import RayState
+from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, default_system
 from .kd import KDProfile, _kd_kernel, profile_values_batch
-from .states import canonical_states
 
 DEFAULT_TOL = 1e-9
 
@@ -92,65 +99,55 @@ def pattern_string(pattern: SignPattern) -> str:
     return "".join({1: "+", 0: "0", -1: "-"}[t] for t in pattern)
 
 
-# Corner rays of every polygon.  V corners: the outer path plus the
-# pentagon edge orthogonal to its opposite inner path.  B corners: the
-# two outer paths plus the pentagon corner orthogonal to both.  T
-# corners: a full trajectory.  X corners: outer path, trajectory inner
-# path, and the theta state adjoining both.  Q corners: a trajectory
-# pair flanked by the two theta states that share its peak.
-POLYGON_CORNERS: tuple[tuple[ClassLabel, tuple[str, ...]], ...] = (
-    (ClassLabel("N"), ("N_f", "N_1", "N_S2", "N_S1", "N_2")),
-    (ClassLabel("V", ("f",)), ("f", "N_S1", "N_S2")),
-    (ClassLabel("V", ("1",)), ("1", "N_S1", "N_2")),
-    (ClassLabel("V", ("S2",)), ("S2", "N_f", "N_2")),
-    (ClassLabel("V", ("S1",)), ("S1", "N_f", "N_1")),
-    (ClassLabel("V", ("2",)), ("2", "N_1", "N_S2")),
-    (ClassLabel("B", ("1", "f")), ("N_S1", "1", "f")),
-    (ClassLabel("B", ("1", "S2")), ("N_2", "1", "S2")),
-    (ClassLabel("B", ("S1", "S2")), ("N_f", "S1", "S2")),
-    (ClassLabel("B", ("2", "S1")), ("N_1", "2", "S1")),
-    (ClassLabel("B", ("2", "f")), ("N_S2", "2", "f")),
-    (ClassLabel("T", ("1", "f")), ("1", "f", "D2")),
-    (ClassLabel("T", ("1", "S2")), ("1", "S2", "P1")),
-    (ClassLabel("T", ("S1", "S2")), ("S1", "S2", "3")),
-    (ClassLabel("T", ("2", "S1")), ("2", "S1", "P2")),
-    (ClassLabel("T", ("2", "f")), ("2", "f", "D1")),
-    (ClassLabel("X", ("1", "D2")), ("1", "D2", "theta_D1")),
-    (ClassLabel("X", ("f", "D2")), ("f", "D2", "theta_P1")),
-    (ClassLabel("X", ("1", "P1")), ("1", "P1", "theta_3")),
-    (ClassLabel("X", ("S2", "P1")), ("S2", "P1", "theta_D2")),
-    (ClassLabel("X", ("S1", "3")), ("S1", "3", "theta_P1")),
-    (ClassLabel("X", ("S2", "3")), ("S2", "3", "theta_P2")),
-    (ClassLabel("X", ("2", "P2")), ("2", "P2", "theta_3")),
-    (ClassLabel("X", ("S1", "P2")), ("S1", "P2", "theta_D1")),
-    (ClassLabel("X", ("2", "D1")), ("2", "D1", "theta_D2")),
-    (ClassLabel("X", ("f", "D1")), ("f", "D1", "theta_P2")),
-    (ClassLabel("Q", ("1", "P2")), ("1", "theta_D1", "P2", "theta_3")),
-    (ClassLabel("Q", ("S1", "D2")), ("S1", "theta_D1", "D2", "theta_P1")),
-    (ClassLabel("Q", ("f", "3")), ("f", "theta_P1", "3", "theta_P2")),
-    (ClassLabel("Q", ("S2", "D1")), ("S2", "theta_P2", "D1", "theta_D2")),
-    (ClassLabel("Q", ("2", "P1")), ("2", "theta_3", "P1", "theta_D2")),
+# The 31 sub-classes in their fixed order: palette, JSON output and the
+# label indices of classify_batch and the atlas all read it.
+ALL_LABELS: tuple[ClassLabel, ...] = tuple(
+    ClassLabel(name[0], tuple(name[2:-1].split(",")) if len(name) > 1 else ())
+    for name in """N V(f) V(1) V(S2) V(S1) V(2) B(1,f) B(1,S2) B(S1,S2) B(2,S1) B(2,f)
+    T(1,f) T(1,S2) T(S1,S2) T(2,S1) T(2,f) X(1,D2) X(f,D2) X(1,P1) X(S2,P1) X(S1,3)
+    X(S2,3) X(2,P2) X(S1,P2) X(2,D1) X(f,D1) Q(1,P2) Q(S1,D2) Q(f,3) Q(S2,D1) Q(2,P1)""".split()
 )
 
-ALL_LABELS: tuple[ClassLabel, ...] = tuple(label for label, _ in POLYGON_CORNERS)
+_CLASS_OF_SIGNATURE = {counts: cls for cls, counts in NEGATIVITY_SIGNATURE.items()}
+
+# Every amplitude sign vector with the path 1 sign fixed at +1.
+_SIGN_VECTORS = np.array([(1.0, *signs) for signs in product((1.0, -1.0), repeat=9)])
+
 
 def _cell_codes(values: np.ndarray) -> np.ndarray:
     """Cell code of each row of strict KD values: the signs of the first nine pairs."""
     return (values[:, :9] > 0).astype(np.int16) @ (1 << np.arange(9, dtype=np.int16))
 
 
-def polygon_centroid(corners: tuple[str, ...], system: PathSystem) -> RayState:
-    """Interior representative: normalized mean of sign-aligned corner rays.
-
-    Corner signs are aligned greedily against the running sum, which is
-    unambiguous because no two corners of one polygon are orthogonal.
-    """
-    named = canonical_states(system)
-    vectors = [named[c].ray.vector for c in corners]
-    acc = vectors[0].copy()
-    for v in vectors[1:]:
-        acc += -v if float(acc @ v) < 0 else v
-    return normalize(acc)
+def _arrangement_cells(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centroids, amplitude signs and KD values of the cells, in ALL_LABELS order."""
+    paths = system.matrix()
+    ia, ib = np.triu_indices(len(paths), 1)
+    vertices = np.cross(paths[ia], paths[ib])
+    vertices /= np.linalg.norm(vertices, axis=1, keepdims=True)
+    vertices = np.concatenate([vertices, -vertices])
+    vertex_amps = vertices @ paths.T
+    vertex_signs = np.sign(vertex_amps) * (np.abs(vertex_amps) > 1e-9)
+    # a vertex is in the closed cone when no amplitude sign disagrees
+    corners = _SIGN_VECTORS @ vertex_signs.T == np.abs(vertex_signs).sum(axis=1)
+    sums = corners @ vertices
+    is_cell = (_SIGN_VECTORS * (sums @ paths.T) > 1e-9).all(axis=1)
+    centroids = sums[is_cell] / np.linalg.norm(sums[is_cell], axis=1, keepdims=True)
+    corner_paths = corners[is_cell] @ (np.abs(vertex_amps) > 1 - 1e-9)
+    values = profile_values_batch(centroids, system)
+    negatives = np.stack([(values[:, :5] < 0).sum(axis=1), (values[:, 5:] < 0).sum(axis=1)], axis=1)
+    names = {}
+    for row, (counts, on_path) in enumerate(zip(map(tuple, negatives.tolist()), corner_paths.tolist())):
+        if counts not in _CLASS_OF_SIGNATURE:
+            raise TableInconsistencyError(f"a cell has negativity counts {counts}")
+        cls = _CLASS_OF_SIGNATURE[counts]
+        corner_set = {p for p, on in zip(PATH_NAMES, on_path) if on}
+        params = OUTER_PATHS if cls == "T" else OUTER_PATHS + INNER_PATHS
+        names[ClassLabel(cls, tuple(p for p in params if p in corner_set))] = row
+    if len(names) != len(centroids) or names.keys() != set(ALL_LABELS):
+        raise TableInconsistencyError(f"the circles cut out the cells {sorted(map(str, names))}")
+    order = [names[label] for label in ALL_LABELS]
+    return centroids[order], _SIGN_VECTORS[is_cell][order], values[order]
 
 
 @dataclass(frozen=True)
@@ -177,9 +174,8 @@ class SubclassTable:
 def build_subclass_table(system: PathSystem | None = None) -> SubclassTable:
     """Compute the 31 interior sign patterns and the cell of each.
 
-    Raises TableInconsistencyError if any centroid sits too close to a
-    boundary or violates its class negativity signature, or unless each
-    sub-class owns exactly one cell.
+    Raises TableInconsistencyError unless the circle arrangement of
+    ``system`` has exactly the 31 cells named in ALL_LABELS.
     """
     if system is None:
         system = default_system()
@@ -188,37 +184,22 @@ def build_subclass_table(system: PathSystem | None = None) -> SubclassTable:
 
 @lru_cache(maxsize=4)
 def _build_table_cached(system: PathSystem) -> SubclassTable:
-    labels = []
-    patterns: list[SignPattern] = []
-    signs = []
-    for label, corners in POLYGON_CORNERS:
-        centroid = polygon_centroid(corners, system)
-        amps, values = _kd_kernel(centroid.vector[None, :], system)
-        if np.abs(values).min() <= 1e-6:
-            raise TableInconsistencyError(
-                f"centroid of {label} is not strictly interior"
-            )
-        pattern = sign_pattern(KDProfile(state=centroid, values=tuple(values[0].tolist())), tol=1e-6)
-        inner_neg = sum(1 for t in pattern[:5] if t < 0)
-        outer_neg = sum(1 for t in pattern[5:] if t < 0)
-        if (inner_neg, outer_neg) != NEGATIVITY_SIGNATURE[label.cls]:
-            raise TableInconsistencyError(
-                f"{label} centroid has negativity counts ({inner_neg},{outer_neg})"
-            )
-        labels.append(label)
-        patterns.append(pattern)
-        signs.append(np.sign(amps[0]))
-    codes = _cell_codes(np.array(patterns))
-    if len(set(codes.tolist())) != len(codes):
-        raise TableInconsistencyError("two sub-classes share one cell")
+    _, signs, values = _arrangement_cells(system)
     cell_labels = np.full(1 << 9, -1, dtype=np.int16)
-    cell_labels[codes] = np.arange(len(labels))
+    cell_labels[_cell_codes(values)] = np.arange(len(ALL_LABELS))
     return SubclassTable(
-        labels=tuple(labels),
-        patterns=tuple(patterns),
+        labels=ALL_LABELS,
+        patterns=tuple(map(tuple, np.sign(values).astype(int).tolist())),
         cell_labels=cell_labels,
-        cell_signs=np.array(signs),
+        cell_signs=signs,
     )
+
+
+def _checked_tol(tol: float) -> float:
+    """``tol`` raised to TOL_FLOOR; NaN and negative values raise InvalidInputError."""
+    if not tol >= 0.0:  # also rejects NaN
+        raise InvalidInputError(f"tol must be a non-negative number, got {tol!r}")
+    return max(tol, TOL_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -249,11 +230,11 @@ def classify(
     whose cell agrees with the other signs, up to a global flip, is
     collected.  An interior ray matches exactly one cell, a boundary ray
     exactly the cells that touch it.  A ``tol`` below TOL_FLOOR counts
-    as TOL_FLOOR.
+    as TOL_FLOOR; a negative or NaN ``tol`` raises InvalidInputError.
     """
     if system is None:
         system = default_system()
-    tol = max(tol, TOL_FLOOR)
+    tol = _checked_tol(tol)
     table = build_subclass_table(system)
     amps, values = _kd_kernel(psi.vector[None, :], system)
     pattern = sign_pattern(KDProfile(state=psi, values=tuple(values[0].tolist())), tol)
@@ -277,12 +258,13 @@ def classify_batch(
     Returns (boundary_mask, label_index) arrays.  A row is boundary when
     any quasi-probability lies within ``tol`` of zero; its label_index is
     -1, and otherwise indexes ALL_LABELS.  A ``tol`` below TOL_FLOOR
-    counts as TOL_FLOOR.  Raises NonFiniteError or UnknownPatternError
+    counts as TOL_FLOOR; a negative or NaN ``tol`` raises
+    InvalidInputError.  Raises NonFiniteError or UnknownPatternError
     naming the offending rows.
     """
     if system is None:
         system = default_system()
-    tol = max(tol, TOL_FLOOR)
+    tol = _checked_tol(tol)
     table = build_subclass_table(system)
     values = profile_values_batch(vectors, system)
     boundary = (np.abs(values) <= tol).any(axis=1)
@@ -308,10 +290,8 @@ def mirror_label(label: ClassLabel) -> ClassLabel:
     The swap fixes path 3, exchanges partner paths on each side, and
     maps every polygon onto a polygon, so labels permute.
     """
-    if not label.params:
-        return label
     mirrored = tuple(MIRROR_PATHS[p] for p in label.params)
-    for candidate, _ in POLYGON_CORNERS:
+    for candidate in ALL_LABELS:
         if candidate.cls == label.cls and set(candidate.params) == set(mirrored):
             return candidate
     raise UnknownPatternError(f"no mirror image for {label}")

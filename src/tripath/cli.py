@@ -318,7 +318,15 @@ def main(argv: list[str] | None = None) -> int:
         doc, lines, code = args.handler(args)
         for line in [json.dumps(doc, indent=2)] if getattr(args, "json", False) else lines:
             print(line)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
+    except BrokenPipeError:
+        # The reader has gone: end quietly, and let what is still buffered
+        # drain into devnull so the interpreter's last flush cannot fail.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 0
     except (TripathError, OSError, ValueError) as exc:
         print(f"tripath: error: {exc}", file=sys.stderr)
         return 1

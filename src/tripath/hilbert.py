@@ -59,7 +59,7 @@ class SpherePoint:
     v: float
 
     def __post_init__(self) -> None:
-        if self.u * self.u + self.v * self.v > 1.0 + 1e-9:
+        if not self.u * self.u + self.v * self.v <= 1.0 + 1e-9:  # also rejects NaN
             raise InvalidInputError("projected point lies outside the unit disk")
 
 

@@ -10,9 +10,7 @@ contexts of three mutually orthogonal paths each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
@@ -82,28 +80,6 @@ class InterferometerSpec:
                 raise InvalidReflectivityError(
                     f"reflectivity {name}={r!r} outside the open interval (0, 1)"
                 )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "InterferometerSpec":
-        """Read reflectivities from a key=value file.
-
-        Values may be decimals or p/q rationals; missing keys keep their
-        defaults, unknown keys are an error.
-        """
-        values: dict[str, float] = {}
-        known = {k.lower(): k for k in ("r1", "rS1", "rf", "rS2", "r2")}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'name = value'")
-            key, _, text = line.partition("=")
-            key = key.strip().lower()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown reflectivity {key!r}")
-            values[known[key]] = float(Fraction(text.strip()))
-        return cls(**values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@ import types
 import pytest
 
 import tripath
-from tripath import atlas, hilbert, kd
+from tripath import atlas, classify, hilbert, kd
 from tripath.errors import InvalidInputError, TripathError
 
 
@@ -23,11 +23,17 @@ def test_all_lists_exactly_the_public_names():
         (lambda: hilbert.RayState(1.0, 1.0, 0.0), "norm"),
         (lambda: hilbert.normalize([1.0, 2.0]), "3-vector"),
         (lambda: hilbert.SpherePoint(1.0, 1.0), "outside the unit disk"),
+        (lambda: hilbert.SpherePoint(float("nan"), 0.0), "outside the unit disk"),
         (lambda: atlas.sample_atlas(8), "at least 16"),
         (lambda: atlas.render(None, "raster"), "needs a sampled grid"),
         (lambda: kd.extremal_kd_on_circle("S1", "S2", n=3), "at least 4"),
+        (lambda: classify.classify(hilbert.normalize([1, 0, 0]), tol=float("nan")), "non-negative"),
+        (lambda: classify.classify_batch([[1.0, 0.0, 0.0]], tol=-1e-9), "non-negative"),
     ],
-    ids=["ray-norm", "vector-shape", "sphere-point", "atlas-resolution", "raster-grid", "scan-samples"],
+    ids=[
+        "ray-norm", "vector-shape", "sphere-point", "sphere-point-nan", "atlas-resolution",
+        "raster-grid", "scan-samples", "tol-nan", "tol-negative",
+    ],
 )
 def test_bad_caller_input_raises_a_typed_error(call, message):
     with pytest.raises(InvalidInputError, match=message) as info:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripath import classify, hilbert, kd, states
+from tripath import classify, hilbert, interferometer, kd, states
 from tripath.classify import ClassLabel
-from tripath.errors import NonFiniteError
+from tripath.errors import NonFiniteError, TableInconsistencyError
 from tripath.hilbert import inner, normalize
 from tripath.interferometer import PATH_NAMES
 
@@ -48,12 +48,35 @@ def test_table_negativity_signature(table):
         assert (neg_inner, neg_outer) == classify.NEGATIVITY_SIGNATURE[label.cls], str(label)
 
 
-def test_centroids_classify_to_their_own_label(system, table):
-    for label, corners in classify.POLYGON_CORNERS:
-        centroid = classify.polygon_centroid(corners, system)
-        result = classify.classify(centroid, system)
-        assert not result.is_boundary, str(label)
-        assert result.labels == frozenset({label})
+def closing_system(r1, rS1):
+    """Cascade of the closing family: C5 is orthonormal for any (r1, rS1)."""
+    rS2 = (1 - r1) * (1 - rS1)
+    spec = interferometer.InterferometerSpec(
+        r1=r1, rS1=rS1, rf=rS1 * (1 - r1) / (r1 + rS1 * (1 - r1)), rS2=rS2, r2=1 - rS1 / (1 - rS2)
+    )
+    return interferometer.build(spec)
+
+
+def test_cells_derived_at_closing_specs():
+    for r1, rS1 in ((1 / 2, 1 / 3), (0.3, 0.6), (0.7, 0.2), (0.15, 0.85)):
+        system = closing_system(r1, rS1)
+        assert interferometer.verify_closure(system)
+        assert classify.build_subclass_table(system).labels == classify.ALL_LABELS
+        centroids = classify._arrangement_cells(system)[0]
+        assert len(centroids) == 31
+        for label, centroid in zip(classify.ALL_LABELS, centroids):
+            result = classify.classify(normalize(centroid), system)
+            assert not result.is_boundary and result.labels == {label}, (r1, rS1, str(label))
+        boundary, idx = classify.classify_batch(centroids, system)
+        assert not boundary.any()
+        assert idx.tolist() == list(range(31))
+
+
+def test_open_system_table_is_refused():
+    # r1 alone breaks closure; the circles then cut out other cells
+    open_system = interferometer.build(interferometer.InterferometerSpec(r1=0.45))
+    with pytest.raises(TableInconsistencyError, match="negativity counts"):
+        classify.build_subclass_table(open_system)
 
 
 def test_sign_pattern_and_string(system, named):
@@ -169,14 +192,6 @@ def test_mirror_label_involution():
     assert classify.mirror_label(ClassLabel("Q", ("S2", "D1"))) == ClassLabel("Q", ("S1", "D2"))
 
 
-def test_mirror_symmetry_of_classification(system, rng):
-    for v in random_unit_vectors(rng, 300):
-        mirrored = np.array([v[1], v[0], v[2]])
-        a = classify.classify(normalize(v), system)
-        b = classify.classify(normalize(mirrored), system)
-        assert {classify.mirror_label(l) for l in a.labels} == set(b.labels)
-
-
 def test_table_rebuild_is_deterministic(system, table):
     again = classify.build_subclass_table(system)
     assert again.labels == table.labels
@@ -237,3 +252,12 @@ def test_single_and_batch_classifiers_agree_under_sign_flip(v):
     assert results[0].is_boundary == bool(boundary[0])
     if not boundary[0]:
         assert results[0].labels == {classify.ALL_LABELS[idx[0]]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_vec)
+def test_mirror_symmetry_of_classification(v):
+    # the 1<->2 swap maps every label set onto its mirror image, boundary sets included
+    a = classify.classify(normalize(v))
+    b = classify.classify(normalize((v[1], v[0], v[2])))
+    assert {classify.mirror_label(l) for l in a.labels} == set(b.labels)

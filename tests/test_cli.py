@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import tripath
 from tripath import cli, states
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,6 +28,10 @@ TEXT_GOLDENS = {
 
 
 def run_cli(*args, env=None, cwd=None):
+    # the child imports the same tripath as the tests, installed or not
+    env = dict(os.environ if env is None else env)
+    package_root = str(Path(tripath.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "tripath", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd)
 
@@ -245,8 +251,6 @@ def test_atlas_writes_files(tmp_path):
 
 
 def test_atlas_outdir_env(tmp_path):
-    import os
-
     env = dict(os.environ)
     env["TRIPATH_OUTDIR"] = str(tmp_path / "fromenv")
     proc = run_cli("atlas", "--resolution", "64", env=env)
@@ -260,3 +264,14 @@ def test_verify_command():
     last = proc.stdout.strip().splitlines()[-1]
     assert last.endswith("0 failed")
     assert "FAIL" not in proc.stdout
+
+
+def test_closed_stdout_ends_quietly(capsys, monkeypatch):
+    # a pipe whose reader has gone: every write raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = os.fdopen(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["verify"]) == 0
+    stdout.close()  # as the interpreter's last flush would: nothing left to fail
+    assert capsys.readouterr().err == ""

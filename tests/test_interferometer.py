@@ -54,34 +54,6 @@ def test_reflectivity_validation():
             itf.InterferometerSpec(rS2=bad)
 
 
-def test_spec_from_file(tmp_path):
-    cfg = tmp_path / "splitters.cfg"
-    cfg.write_text(
-        "# cascade settings\n"
-        "r1 = 1/2\n"
-        "rS1 = 1/3\n"
-        "rf = 0.25  # quarter reflectivity\n"
-        "\n"
-        "rS2 = 1/3\n"
-        "r2 = 1/2\n"
-    )
-    spec = itf.InterferometerSpec.from_file(cfg)
-    assert spec == itf.InterferometerSpec()
-
-
-def test_spec_from_file_defaults_and_errors(tmp_path):
-    cfg = tmp_path / "partial.cfg"
-    cfg.write_text("rf = 0.4\n")
-    spec = itf.InterferometerSpec.from_file(cfg)
-    assert spec.rf == pytest.approx(0.4)
-    assert spec.r1 == pytest.approx(0.5)
-
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("r9 = 0.5\n")
-    with pytest.raises(ValueError):
-        itf.InterferometerSpec.from_file(bad)
-
-
 def test_contexts_are_orthonormal_triples(system):
     assert len(itf.CONTEXTS) == 5
     for ctx in itf.CONTEXTS:
