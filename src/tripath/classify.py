@@ -135,13 +135,13 @@ def _arrangement_cells(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.n
     centroids = sums[is_cell] / np.linalg.norm(sums[is_cell], axis=1, keepdims=True)
     corner_paths = corners[is_cell] @ (np.abs(vertex_amps) > 1 - 1e-9)
     values = profile_values_batch(centroids, system)
-    negatives = np.stack([(values[:, :5] < 0).sum(axis=1), (values[:, 5:] < 0).sum(axis=1)], axis=1)
+    negatives = (values[:, :5] < 0).sum(axis=1).tolist(), (values[:, 5:] < 0).sum(axis=1).tolist()
     names = {}
-    for row, (counts, on_path) in enumerate(zip(map(tuple, negatives.tolist()), corner_paths.tolist())):
+    for row, counts in enumerate(zip(*negatives)):
         if counts not in _CLASS_OF_SIGNATURE:
             raise TableInconsistencyError(f"a cell has negativity counts {counts}")
         cls = _CLASS_OF_SIGNATURE[counts]
-        corner_set = {p for p, on in zip(PATH_NAMES, on_path) if on}
+        corner_set = {p for p, on in zip(PATH_NAMES, corner_paths[row]) if on}
         params = OUTER_PATHS if cls == "T" else OUTER_PATHS + INNER_PATHS
         names[ClassLabel(cls, tuple(p for p in params if p in corner_set))] = row
     if len(names) != len(centroids) or names.keys() != set(ALL_LABELS):
