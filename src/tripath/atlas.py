@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -34,6 +35,13 @@ from .states import N_STATE_ORDER, THETA_ORDER, canonical_states, joint_basis
 # Label index values below zero mark non-region pixels.
 BOUNDARY = -1
 EXTERIOR = -2
+
+# Largest resolution: its int16 labels take 512 MB, the one buffer that
+# grows with the resolution.
+MAX_RESOLUTION = 16384
+
+# Pixels per classify_batch call, taken as whole image rows.
+_BLOCK_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,26 +76,28 @@ def sample_atlas(
     tol: float = DEFAULT_TOL,
     system: PathSystem | None = None,
 ) -> AtlasGrid:
-    """Classify every pixel of a resolution x resolution chart."""
-    if resolution < 16:
-        raise InvalidInputError("atlas resolution must be at least 16")
+    """Classify every pixel of a resolution x resolution chart.
+
+    The disk goes through classify_batch in blocks of whole image rows,
+    about 2^15 pixels each, so memory is bounded by the int16 labels
+    array plus one block.  ``resolution`` must be an integer from 16 to
+    MAX_RESOLUTION; anything else raises InvalidInputError.
+    """
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
+        raise InvalidInputError(f"atlas resolution must be an integer, got {resolution!r}")
+    if not 16 <= resolution <= MAX_RESOLUTION:
+        raise InvalidInputError(f"atlas resolution must be at least 16 and at most {MAX_RESOLUTION}, got {resolution}")
     if system is None:
         system = default_system()
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
-    u = np.tile(centers, resolution)
-    v = np.repeat(-centers, resolution)  # row 0 at v = +1
-    inside = u * u + v * v <= 1.0
-    labels = np.full(resolution * resolution, EXTERIOR, dtype=np.int16)
-    if np.any(inside):
-        rays = lift(u[inside], v[inside])
-        boundary, idx = classify_batch(rays, system, tol)
-        region = np.where(boundary, np.int16(BOUNDARY), idx.astype(np.int16))
-        labels[inside] = region
-    return AtlasGrid(
-        resolution=resolution,
-        tol=tol,
-        labels=labels.reshape(resolution, resolution),
-    )
+    labels = np.full((resolution, resolution), EXTERIOR, dtype=np.int16)
+    rows = max(1, _BLOCK_PIXELS // resolution)
+    for top in range(0, resolution, rows):
+        u, v = np.meshgrid(centers, -centers[top : top + rows])  # row 0 at v = +1
+        inside = u * u + v * v <= 1.0
+        # classify_batch gives boundary rays the index -1, which is BOUNDARY
+        labels[top : top + rows][inside] = classify_batch(lift(u[inside], v[inside]), system, tol)[1]
+    return AtlasGrid(resolution=resolution, tol=tol, labels=labels)
 
 
 @lru_cache(maxsize=1)
@@ -110,8 +120,8 @@ def palette() -> dict[str, tuple[int, int, int]]:
 
 def render(
     grid: AtlasGrid | None, fmt: str = "raster", system: PathSystem | None = None
-) -> bytes | str:
-    """Render the chart; ``raster`` gives PPM bytes, ``vector`` SVG text.
+) -> bytearray | str:
+    """Render the chart; ``raster`` gives the PPM file as a bytearray, ``vector`` SVG text.
 
     Raster output needs a sampled grid.  Vector output draws the region
     boundaries analytically and only needs the path system.
@@ -125,16 +135,25 @@ def render(
     raise UnsupportedFormatError(f"unknown atlas format {fmt!r}")
 
 
-def _render_ppm(grid: AtlasGrid) -> bytes:
+def _render_ppm(grid: AtlasGrid) -> bytearray:
     colors = palette()
     table = np.zeros((len(ALL_LABELS) + 2, 3), dtype=np.uint8)
     table[EXTERIOR] = (255, 255, 255)
     table[BOUNDARY] = (0, 0, 0)
     for i, label in enumerate(ALL_LABELS):
         table[i] = colors[str(label)]
-    image = table[grid.labels]
     header = f"P6\n{grid.resolution} {grid.resolution}\n255\n".encode("ascii")
-    return header + image.tobytes()
+    out = bytearray(len(header) + 3 * grid.labels.size)
+    out[: len(header)] = header
+    image = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(*grid.labels.shape, 3)
+    # Row blocks bound the intp copy that take makes of the indices; "wrap"
+    # maps the negative BOUNDARY and EXTERIOR indices to the last table rows,
+    # as plain indexing does, and writes straight into ``out``.
+    rows = max(1, _BLOCK_PIXELS // grid.resolution)
+    for top in range(0, grid.resolution, rows):
+        block = slice(top, top + rows)
+        np.take(table, grid.labels[block], axis=0, out=image[block], mode="wrap")
+    return out
 
 
 _SVG_SAMPLES = 720

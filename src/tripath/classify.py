@@ -115,8 +115,8 @@ _SIGN_VECTORS = np.array([(1.0, *signs) for signs in product((1.0, -1.0), repeat
 
 
 def _cell_codes(values: np.ndarray) -> np.ndarray:
-    """Cell code of each row of strict KD values: the signs of the first nine pairs."""
-    return (values[:, :9] > 0).astype(np.int16) @ (1 << np.arange(9, dtype=np.int16))
+    """Cell code of each column of strict paths-major KD values: the signs of the first nine pairs."""
+    return (1 << np.arange(9, dtype=np.int16)) @ (values[:9] > 0).astype(np.int16)
 
 
 def _arrangement_cells(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,7 +186,9 @@ def build_subclass_table(system: PathSystem | None = None) -> SubclassTable:
 def _build_table_cached(system: PathSystem) -> SubclassTable:
     _, signs, values = _arrangement_cells(system)
     cell_labels = np.full(1 << 9, -1, dtype=np.int16)
-    cell_labels[_cell_codes(values)] = np.arange(len(ALL_LABELS))
+    cell_labels[_cell_codes(values.T)] = np.arange(len(ALL_LABELS))
+    cell_labels.setflags(write=False)
+    signs.setflags(write=False)
     return SubclassTable(
         labels=ALL_LABELS,
         patterns=tuple(map(tuple, np.sign(values).astype(int).tolist())),
@@ -237,9 +239,10 @@ def classify(
     tol = _checked_tol(tol)
     table = build_subclass_table(system)
     amps, values = _kd_kernel(psi.vector[None, :], system)
-    pattern = sign_pattern(KDProfile(state=psi, values=tuple(values[0].tolist())), tol)
-    fixed = np.abs(amps[0]) > tol
-    agree = np.abs(table.cell_signs[:, fixed] @ np.sign(amps[0, fixed])) == fixed.sum()
+    amps = amps[:, 0]
+    pattern = sign_pattern(KDProfile(state=psi, values=tuple(values[:, 0].tolist())), tol)
+    fixed = np.abs(amps) > tol
+    agree = np.abs(table.cell_signs[:, fixed] @ np.sign(amps[fixed])) == fixed.sum()
     found = frozenset(label for label, ok in zip(table.labels, agree) if ok)
     if not found:
         raise UnknownPatternError(
@@ -266,8 +269,8 @@ def classify_batch(
         system = default_system()
     tol = _checked_tol(tol)
     table = build_subclass_table(system)
-    values = profile_values_batch(vectors, system)
-    boundary = (np.abs(values) <= tol).any(axis=1)
+    values = profile_values_batch(vectors, system).T  # paths-major (10, n), contiguous
+    boundary = (np.abs(values) <= tol).any(axis=0)
     idx = table.cell_labels[_cell_codes(values)]
     idx[boundary] = -1
     unknown = np.flatnonzero((idx < 0) & ~boundary)

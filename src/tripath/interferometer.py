@@ -161,7 +161,7 @@ def _path_matrix(system: PathSystem) -> np.ndarray:
 
 
 def _amplitudes(vectors: np.ndarray, system: PathSystem | None = None) -> np.ndarray:
-    """Path amplitudes <path|psi> of many rows, columns in PATH_NAMES order.
+    """Path amplitudes <path|psi> of many rows, paths-major: row k holds path PATH_NAMES[k].
 
     Raises NonFiniteError naming the rows that hold a NaN or infinity.
     """
@@ -174,11 +174,11 @@ def _amplitudes(vectors: np.ndarray, system: PathSystem | None = None) -> np.nda
         # A one-row product runs through BLAS gemv, whose last bits differ
         # from the gemm used for two or more rows; a doubled row keeps
         # every value independent of the batch size.
-        return (np.concatenate([vectors, vectors]) @ paths.T)[:1]
-    return vectors @ paths.T
+        return (paths @ np.concatenate([vectors, vectors]).T)[:, :1]
+    return paths @ vectors.T
 
 
 def probabilities(psi: RayState, system: PathSystem | None = None) -> dict[str, float]:
     """Detection probability of every path for the state ``psi``."""
-    amps = _amplitudes(psi.vector[None, :], system)[0]
+    amps = _amplitudes(psi.vector[None, :], system)[:, 0]
     return dict(zip(PATH_NAMES, (amps * amps).tolist()))

@@ -53,7 +53,7 @@ KD_PAIRS = (
 )
 
 _PAIR_INDEX = {frozenset((p.a, p.b)): i for i, p in enumerate(KD_PAIRS)}
-_INNER_COLUMNS = [PATH_NAMES.index(k) for k in INNER_PATHS]
+_INNER_ROWS = [PATH_NAMES.index(k) for k in INNER_PATHS]
 
 # Per outer path, the context whose completeness turns three KD values
 # into the path probability; terms listed with the trajectory pair last.
@@ -91,28 +91,29 @@ def _pair_geometry(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _kd_kernel(vectors: np.ndarray, system: PathSystem | None) -> tuple[np.ndarray, np.ndarray]:
-    """Path amplitudes <path|psi> (columns in PATH_NAMES order) and KD values of many rows."""
+    """Path amplitudes (10 x n, PATH_NAMES order) and KD values (10 x n, KD_PAIRS order) of many rows."""
     if system is None:
         system = default_system()
     ia, ib, overlaps = _pair_geometry(system)
     amps = _amplitudes(vectors, system)
-    values = amps[:, ia]
-    values *= overlaps
-    values *= amps[:, ib]
+    values = amps[ia]
+    values *= overlaps[:, None]
+    values *= amps[ib]
     return amps, values
 
 
 def profile_values_batch(vectors: np.ndarray, system: PathSystem | None = None) -> np.ndarray:
-    """Profiles of many unit vectors at once; rows follow KD_PAIRS order.
+    """Profiles of many unit vectors at once, shape (n, 10); rows follow KD_PAIRS order.
 
+    The array is a transposed view of the paths-major kernel output.
     Raises NonFiniteError naming the rows that hold a NaN or infinity.
     """
-    return _kd_kernel(vectors, system)[1]
+    return _kd_kernel(vectors, system)[1].T
 
 
 def kd_profile(psi: RayState, system: PathSystem | None = None) -> KDProfile:
-    """All ten canonical quasi-probabilities of ``psi``: one row of the batch kernel."""
-    values = _kd_kernel(psi.vector[None, :], system)[1][0]
+    """All ten canonical quasi-probabilities of ``psi``: one column of the batch kernel."""
+    values = _kd_kernel(psi.vector[None, :], system)[1][:, 0]
     return KDProfile(state=psi, values=tuple(values.tolist()))
 
 
@@ -136,7 +137,7 @@ def inequality_sum(psi: RayState, system: PathSystem | None = None) -> float:
     Any assignment of one definite path per context forces this sum to
     at least 1; quantum states can dip below.
     """
-    amps = _amplitudes(psi.vector[None, :], system)[0, _INNER_COLUMNS]
+    amps = _amplitudes(psi.vector[None, :], system)[_INNER_ROWS, 0]
     return float(sum((amps * amps).tolist()))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tripath import classify, interferometer, states
 
@@ -22,6 +23,14 @@ def table(system):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+# Random directions, plus small-integer vectors, which land on the zero
+# circles (path states, corners, theta states) and so exercise boundary rays.
+nonzero_vec = st.one_of(
+    st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3),
+    st.tuples(*[st.integers(-3, 3)] * 3),
+).filter(lambda v: any(v))
 
 
 def random_unit_vectors(rng, n):

@@ -25,6 +25,9 @@ def test_all_lists_exactly_the_public_names():
         (lambda: hilbert.SpherePoint(1.0, 1.0), "outside the unit disk"),
         (lambda: hilbert.SpherePoint(float("nan"), 0.0), "outside the unit disk"),
         (lambda: atlas.sample_atlas(8), "at least 16"),
+        (lambda: atlas.sample_atlas(16.5), "must be an integer"),
+        (lambda: atlas.sample_atlas(True), "must be an integer"),
+        (lambda: atlas.sample_atlas(atlas.MAX_RESOLUTION + 1), "at most 16384"),
         (lambda: atlas.render(None, "raster"), "needs a sampled grid"),
         (lambda: kd.extremal_kd_on_circle("S1", "S2", n=3), "at least 4"),
         (lambda: classify.classify(hilbert.normalize([1, 0, 0]), tol=float("nan")), "non-negative"),
@@ -32,6 +35,7 @@ def test_all_lists_exactly_the_public_names():
     ],
     ids=[
         "ray-norm", "vector-shape", "sphere-point", "sphere-point-nan", "atlas-resolution",
+        "atlas-resolution-float", "atlas-resolution-bool", "atlas-resolution-cap",
         "raster-grid", "scan-samples", "tol-nan", "tol-negative",
     ],
 )

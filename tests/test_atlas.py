@@ -45,6 +45,26 @@ def test_grid_marks_exterior(grid):
     assert interior >= 0 or interior == atlas.BOUNDARY
 
 
+@pytest.mark.parametrize(
+    "resolution, tol",
+    [(16, 1e-9), (127, 1e-9), (300, 1e-9), (1000, 1e-9), (300, 0.0), (300, 1e-6), (300, 1e-3)],
+)
+def test_row_blocks_match_one_batch_call(system, monkeypatch, resolution, tol):
+    # 300 and 1000 put a block edge inside the disk at the module's block
+    # size; blocks of 7 rows put several there at every resolution
+    centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
+    u, v = np.meshgrid(centers, -centers)
+    inside = u * u + v * v <= 1.0
+    want = np.full((resolution, resolution), atlas.EXTERIOR, dtype=np.int16)
+    boundary, idx = classify.classify_batch(atlas.lift(u[inside], v[inside]), system, tol)
+    want[inside] = np.where(boundary, atlas.BOUNDARY, idx)
+    got = atlas.sample_atlas(resolution, tol, system).labels
+    assert got.dtype == np.int16
+    assert np.array_equal(got, want)
+    monkeypatch.setattr(atlas, "_BLOCK_PIXELS", 7 * resolution)
+    assert np.array_equal(atlas.sample_atlas(resolution, tol, system).labels, want)
+
+
 def test_center_pixel_is_path_1(system):
     # odd resolution puts a pixel center exactly at the chart origin
     g = atlas.sample_atlas(127, system=system)

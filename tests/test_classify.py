@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tripath import classify, hilbert, interferometer, kd, states
 from tripath.classify import ClassLabel
@@ -12,7 +11,7 @@ from tripath.errors import NonFiniteError, TableInconsistencyError
 from tripath.hilbert import inner, normalize
 from tripath.interferometer import PATH_NAMES
 
-from conftest import random_unit_vectors
+from conftest import nonzero_vec, random_unit_vectors
 
 GOLDEN = Path(__file__).parent / "golden" / "subclass_table.json"
 
@@ -215,6 +214,16 @@ def test_cell_table(system, table):
         assert rebuilt == pattern, str(label)
 
 
+def test_subclass_table_is_read_only(system, table):
+    # the one cached table serves every later call in the process
+    for array in (table.cell_labels, table.cell_signs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = -1
+    boundary, idx = classify.classify_batch(random_unit_vectors(np.random.default_rng(7), 1000), system)
+    assert (idx[~boundary] >= 0).all()
+    assert classify.classify(normalize([3, 1, 1]), system).labels
+
+
 def test_subclass_table_golden(table):
     want = json.loads(GOLDEN.read_text())
     assert [str(l) for l in table.labels] == want["labels"]
@@ -230,14 +239,6 @@ def test_batch_names_non_finite_rows(system):
     vectors[2, 1] = np.nan
     with pytest.raises(NonFiniteError, match=r"\[2\]"):
         classify.classify_batch(vectors, system)
-
-
-# Random directions, plus small-integer vectors, which land on the zero
-# circles (path states, corners, theta states) and so exercise boundary rays.
-nonzero_vec = st.one_of(
-    st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3),
-    st.tuples(*[st.integers(-3, 3)] * 3),
-).filter(lambda v: any(v))
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,8 +9,9 @@ from tripath import kd
 from tripath.errors import DegeneratePairError, NonFiniteError, UnknownPathError
 from tripath.hilbert import RayState, inner, normalize, same_ray
 from tripath.interferometer import INNER_PATHS, OUTER_PATHS, probabilities
+from tripath.states import joint_basis
 
-from conftest import brute_force_min_inner_sum, random_unit_vectors
+from conftest import brute_force_min_inner_sum, nonzero_vec, random_unit_vectors
 
 
 def test_pair_catalog():
@@ -52,9 +53,14 @@ def test_profile_batch_matches_loop(system, rng):
         assert np.allclose(row, profile.values, atol=1e-14)
 
 
-def test_kernel_rows_do_not_depend_on_batch_size(system, rng):
-    # bit for bit: a one-row call, a row of a large batch and kd_profile agree
-    vectors = random_unit_vectors(rng, 300)
+def test_kernel_rows_do_not_depend_on_batch_size(system, rng, named):
+    # bit for bit: a one-row call, a row of a large batch and kd_profile agree,
+    # on random rays and on the named states, which sit on the zero circles
+    named_rows = [s.ray.vector for s in named.values()]
+    named_rows += [b.ray.vector for b in joint_basis(system)]
+    vectors = np.concatenate([random_unit_vectors(rng, 300), named_rows])
+    for n in (1, 2, 3, len(vectors)):
+        assert kd.profile_values_batch(vectors[:n], system).shape == (n, 10)
     batch = kd.profile_values_batch(vectors, system)
     for k, v in enumerate(vectors):
         single = kd.profile_values_batch(vectors[k : k + 1], system)[0]
@@ -71,23 +77,26 @@ def test_batch_names_non_finite_rows(system):
         kd.profile_values_batch(vectors, system)
 
 
-def test_sign_flip_invariance(system, rng):
-    for v in random_unit_vectors(rng, 50):
-        a = kd.kd_profile(normalize(v), system).values
-        b = kd.profile_values_batch(-v[None, :], system)[0]
-        assert np.allclose(a, b, atol=1e-14)
+@settings(max_examples=150, deadline=None)
+@given(nonzero_vec)
+def test_sign_flip_invariance(v):
+    # negation is exact in every product of the kernel, so the values agree
+    # exactly; only a zero may change its sign bit (x - x is +0.0 either way)
+    psi = normalize(v)
+    assert kd.kd_profile(psi.flipped()).values == kd.kd_profile(psi).values
 
 
-def test_decompose_outer_rebuilds_probability(system, rng):
-    for v in random_unit_vectors(rng, 300):
-        psi = normalize(v)
-        probs = probabilities(psi, system)
-        for i in OUTER_PATHS:
-            terms = kd.decompose_outer(psi, i, system)
-            assert len(terms) == 3
-            assert sum(t for _, t in terms) == pytest.approx(probs[i], abs=1e-12)
-            # trajectory pair comes last
-            assert terms[-1][0].kind == "inner"
+@settings(max_examples=150, deadline=None)
+@given(nonzero_vec)
+def test_decompose_outer_rebuilds_probability(v):
+    psi = normalize(v)
+    probs = probabilities(psi)
+    for i in OUTER_PATHS:
+        terms = kd.decompose_outer(psi, i)
+        assert len(terms) == 3
+        assert sum(t for _, t in terms) == pytest.approx(probs[i], abs=1e-12)
+        # trajectory pair comes last
+        assert terms[-1][0].kind == "inner"
 
 
 def test_decompose_outer_rejects_inner(system):
