@@ -2,8 +2,11 @@
 
 The c1 >= 0 hemisphere is mapped orthographically to the unit disk with
 chart coordinates (u, v) = (c2, c3).  Each pixel center inside the disk
-lifts to a ray, is classified, and painted with its sub-class color;
-pixels whose sign pattern touches zero are boundary marked.  Raster
+lifts to a ray and is painted with its sub-class color, or boundary
+marked where a KD value lies within tol of zero.  Labels only change
+where a pixel row crosses one of the ten zero circles P(path) = 0, so
+only the pixels next to those crossings and the first pixel of each run
+between them are classified; the run takes that pixel's label.  Raster
 output is binary PPM, vector output is standalone SVG showing the ten
 zero-probability circles and the twenty named states.
 """
@@ -23,13 +26,14 @@ from .classify import (
     ALL_LABELS,
     DEFAULT_TOL,
     ClassLabel,
+    _checked_tol,
     classify,
     classify_batch,
 )
 from .errors import InvalidInputError, UnsupportedFormatError
 from .hilbert import circle_points, hemisphere_project
 from .interferometer import PATH_NAMES, PathSystem, default_system, probabilities
-from .kd import KD_PAIRS, inequality_sum, kd_profile
+from .kd import KD_PAIRS, _pair_geometry, inequality_sum, kd_profile
 from .states import N_STATE_ORDER, THETA_ORDER, canonical_states, joint_basis
 
 # Label index values below zero mark non-region pixels.
@@ -78,10 +82,14 @@ def sample_atlas(
 ) -> AtlasGrid:
     """Classify every pixel of a resolution x resolution chart.
 
-    The disk goes through classify_batch in blocks of whole image rows,
-    about 2^15 pixels each, so memory is bounded by the int16 labels
-    array plus one block.  ``resolution`` must be an integer from 16 to
-    MAX_RESOLUTION; anything else raises InvalidInputError.
+    Rows go in blocks of about 2^15 pixels.  Each window pixel, one within
+    a pixel of a band |A_k| < eps with eps = 2 sqrt(tol / min|<a|b>|),
+    goes through classify_batch; each run of pixels between windows and
+    disk edges sends only its first pixel and takes its label.  That is
+    exact: along such a run every |A_k| >= eps, so no amplitude changes
+    sign and every |rho| >= min|<a|b>| eps^2 = 4 tol.
+    ``resolution`` must be an integer from 16 to MAX_RESOLUTION;
+    anything else raises InvalidInputError.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
         raise InvalidInputError(f"atlas resolution must be an integer, got {resolution!r}")
@@ -89,14 +97,47 @@ def sample_atlas(
         raise InvalidInputError(f"atlas resolution must be at least 16 and at most {MAX_RESOLUTION}, got {resolution}")
     if system is None:
         system = default_system()
+    # On the row at height v, (c1, u) = R (cos t, sin t) with R^2 = 1 - v^2,
+    # so A_k = R m_k cos(t - phi_k) + k3_k v.
+    k1, k2, k3 = system.matrix().T
+    m, phi = np.hypot(k1, k2), np.arctan2(k2, k1)
+    eps = 2.0 * np.sqrt(_checked_tol(tol) / np.abs(_pair_geometry(system)[2]).min())
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
     labels = np.full((resolution, resolution), EXTERIOR, dtype=np.int16)
     rows = max(1, _BLOCK_PIXELS // resolution)
     for top in range(0, resolution, rows):
-        u, v = np.meshgrid(centers, -centers[top : top + rows])  # row 0 at v = +1
-        inside = u * u + v * v <= 1.0
+        v = -centers[top : top + rows, None]  # row 0 at v = +1
+        radius = np.sqrt(1.0 - v * v)
+        # cos(t - phi) bounds of the band |A_k| < eps; path 3 has m = 0, and
+        # its band fills the row when |k3 v| < eps and misses it otherwise
+        bounds, scale = np.stack([eps - k3 * v, -eps - k3 * v]), radius * m
+        cosines = np.divide(bounds, scale, out=np.copysign(2.0, bounds), where=scale > 0)
+        near, far = np.arccos(np.clip(cosines, -1.0, 1.0))
+        # t - phi in [near, far] or [-far, -near]: wrap each start into
+        # [-3pi/2, pi/2) and cut the band to the row, t in [-pi/2, pi/2]
+        start = np.mod(phi + np.stack([near, -far]) + 1.5 * np.pi, 2.0 * np.pi) - 1.5 * np.pi
+        lo, hi = np.maximum(start, -np.pi / 2), np.minimum(start + (far - near), np.pi / 2)
+        keep = lo <= hi
+        x_lo, x_hi = ((radius * np.sin(np.stack([lo, hi])) + 1.0) * (resolution / 2) - 0.5)[:, keep]
+        # window: the pixels in each band and the nearest pixel on either side
+        first, stop = np.clip([np.ceil(x_lo) - 1, np.floor(x_hi) + 2], 0, resolution).astype(int)
+        diff, row = np.zeros((len(v), resolution + 1), dtype=np.int8), np.nonzero(keep)[1]
+        np.add.at(diff, (row, first), 1)
+        np.add.at(diff, (row, stop), -1)
+        window = diff.cumsum(axis=1, dtype=np.int8)[:, :-1] > 0
+        # runs start at each row start, disk edge and window pixel, and after
+        # each window pixel, so that a run keeps a pixel away from every band
+        inside = centers * centers + v * v <= 1.0
+        cut = window.copy()
+        cut[:, 1:] |= window[:, :-1] | (inside[:, 1:] != inside[:, :-1])
+        cut[:, 0] = True
+        starts = np.flatnonzero(cut)
+        iy, ix = np.divmod(starts, resolution)
+        values = np.full(len(starts), EXTERIOR, dtype=np.int16)
+        disk = inside[iy, ix]
         # classify_batch gives boundary rays the index -1, which is BOUNDARY
-        labels[top : top + rows][inside] = classify_batch(lift(u[inside], v[inside]), system, tol)[1]
+        values[disk] = classify_batch(lift(centers[ix[disk]], v[iy[disk], 0]), system, tol)[1]
+        labels[top : top + rows] = np.repeat(values, np.diff(starts, append=cut.size)).reshape(cut.shape)
     return AtlasGrid(resolution=resolution, tol=tol, labels=labels)
 
 
@@ -173,14 +214,11 @@ def _render_svg(system: PathSystem) -> str:
     ]
     for name in PATH_NAMES:
         points = circle_points(system.ray(name), _SVG_SAMPLES)
-        coords = []
-        for p in points:
-            # The projected circle is centrally symmetric, so skipping the
-            # hemisphere flip keeps the polyline continuous.
-            x, y = _svg_coord(p[1], p[2])
-            coords.append(f"{x},{y}")
+        # The projected circle is centrally symmetric, so skipping the
+        # hemisphere flip keeps the polyline continuous.
+        coords = np.round(np.stack([points[:, 1], -points[:, 2]], 1), 5).tolist()
         parts.append(
-            f'<polyline points="{" ".join(coords)}" fill="none" '
+            f'<polyline points="{" ".join(f"{x},{y}" for x, y in coords)}" fill="none" '
             f'stroke="#666666" stroke-width="0.004">'
             f"<title>P({name}) = 0</title></polyline>"
         )

@@ -33,6 +33,15 @@ nonzero_vec = st.one_of(
 ).filter(lambda v: any(v))
 
 
+def closing_system(r1, rS1):
+    """Cascade of the closing family: C5 is orthonormal for any (r1, rS1)."""
+    rS2 = (1 - r1) * (1 - rS1)
+    spec = interferometer.InterferometerSpec(
+        r1=r1, rS1=rS1, rf=rS1 * (1 - r1) / (r1 + rS1 * (1 - r1)), rS2=rS2, r2=1 - rS1 / (1 - rS2)
+    )
+    return interferometer.build(spec)
+
+
 def random_unit_vectors(rng, n):
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)

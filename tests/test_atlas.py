@@ -1,17 +1,20 @@
 import csv
 import hashlib
 import io
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tripath import atlas, classify
+from tripath import atlas, classify, interferometer
 from tripath.classify import ClassLabel
 from tripath.errors import UnsupportedFormatError
 from tripath.hilbert import normalize
 
-from conftest import pixel_center
+from conftest import closing_system, pixel_center
 
 GOLDEN_PPM_64_SHA256 = "648ad8f54e87204648e9bcf4c4f58d9b28a36f57f347090609a43842114cd220"
 
@@ -45,24 +48,70 @@ def test_grid_marks_exterior(grid):
     assert interior >= 0 or interior == atlas.BOUNDARY
 
 
-@pytest.mark.parametrize(
-    "resolution, tol",
-    [(16, 1e-9), (127, 1e-9), (300, 1e-9), (1000, 1e-9), (300, 0.0), (300, 1e-6), (300, 1e-3)],
-)
-def test_row_blocks_match_one_batch_call(system, monkeypatch, resolution, tol):
-    # 300 and 1000 put a block edge inside the disk at the module's block
-    # size; blocks of 7 rows put several there at every resolution
+def every_pixel_labels(resolution, tol, system):
+    """Reference labels: every in-disk pixel center through classify_batch."""
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
     u, v = np.meshgrid(centers, -centers)
     inside = u * u + v * v <= 1.0
+    rays = atlas.lift(u[inside], v[inside])
     want = np.full((resolution, resolution), atlas.EXTERIOR, dtype=np.int16)
-    boundary, idx = classify.classify_batch(atlas.lift(u[inside], v[inside]), system, tol)
-    want[inside] = np.where(boundary, atlas.BOUNDARY, idx)
+    # one call up to 1000 pixels; larger disks go in slices of 2^20 rays,
+    # which give the same labels because kernel rows do not depend on the
+    # batch size
+    step = 1 << 20
+    want[inside] = np.concatenate(
+        [classify.classify_batch(rays[i : i + step], system, tol)[1] for i in range(0, len(rays), step)]
+    )
+    return want
+
+
+@pytest.mark.parametrize(
+    "resolution, tol",
+    [
+        (16, 1e-9), (127, 1e-9), (255, 1e-9), (300, 1e-9), (1000, 1e-9), (2048, 1e-9),
+        (300, 0.0), (300, 1e-6), (300, 1e-3),
+    ],
+)
+def test_row_blocks_match_one_batch_call(system, monkeypatch, resolution, tol):
+    # 300, 1000 and 2048 put a block edge inside the disk at the module's
+    # block size; blocks of 7 rows put several there at every resolution
+    want = every_pixel_labels(resolution, tol, system)
     got = atlas.sample_atlas(resolution, tol, system).labels
     assert got.dtype == np.int16
     assert np.array_equal(got, want)
     monkeypatch.setattr(atlas, "_BLOCK_PIXELS", 7 * resolution)
     assert np.array_equal(atlas.sample_atlas(resolution, tol, system).labels, want)
+
+
+@pytest.mark.parametrize("resolution", [127, 255])
+def test_odd_resolution_middle_row_is_boundary(system, resolution):
+    # the middle row lies on v = 0, the zero circle of path 3 = (0, 0, 1)
+    row = atlas.sample_atlas(resolution, system=system).labels[resolution // 2]
+    assert (row[row != atlas.EXTERIOR] == atlas.BOUNDARY).all()
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_scanline_at_a_closing_spec(tol):
+    system = closing_system(0.4, 0.3)
+    assert interferometer.verify_closure(system)
+    grid = atlas.sample_atlas(301, tol, system)
+    assert np.array_equal(grid.labels, every_pixel_labels(301, tol, system))
+    assert len(grid.label_counts()) == 31
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(16, 400), st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+def test_scanline_matches_every_pixel(resolution, tol):
+    system = interferometer.default_system()
+    got = atlas.sample_atlas(resolution, tol, system).labels
+    assert np.array_equal(got, every_pixel_labels(resolution, tol, system))
+
+
+def test_sampling_raises_no_numpy_warnings(system):
+    # path 3 has no (c1, u) component, so its band needs no division
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        atlas.sample_atlas(127, system=system)
 
 
 def test_center_pixel_is_path_1(system):

@@ -11,7 +11,7 @@ from tripath.errors import NonFiniteError, TableInconsistencyError
 from tripath.hilbert import inner, normalize
 from tripath.interferometer import PATH_NAMES
 
-from conftest import nonzero_vec, random_unit_vectors
+from conftest import closing_system, nonzero_vec, random_unit_vectors
 
 GOLDEN = Path(__file__).parent / "golden" / "subclass_table.json"
 
@@ -45,15 +45,6 @@ def test_table_negativity_signature(table):
         neg_inner = sum(1 for t in pattern[:5] if t < 0)
         neg_outer = sum(1 for t in pattern[5:] if t < 0)
         assert (neg_inner, neg_outer) == classify.NEGATIVITY_SIGNATURE[label.cls], str(label)
-
-
-def closing_system(r1, rS1):
-    """Cascade of the closing family: C5 is orthonormal for any (r1, rS1)."""
-    rS2 = (1 - r1) * (1 - rS1)
-    spec = interferometer.InterferometerSpec(
-        r1=r1, rS1=rS1, rf=rS1 * (1 - r1) / (r1 + rS1 * (1 - r1)), rS2=rS2, r2=1 - rS1 / (1 - rS2)
-    )
-    return interferometer.build(spec)
 
 
 def test_cells_derived_at_closing_specs():
