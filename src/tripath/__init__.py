@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedFormatError,
     ZeroVectorError,
 )
-from .hilbert import RayState, SpherePoint, inner, normalize, orthogonal_to_pair, same_ray
+from .hilbert import RayState, inner, normalize, orthogonal_to_pair, same_ray
 from .interferometer import (
     CONTEXTS,
     INNER_PATHS,
@@ -75,7 +75,6 @@ __all__ = [
     "PATH_NAMES",
     "PathSystem",
     "RayState",
-    "SpherePoint",
     "SubclassTable",
     "TableInconsistencyError",
     "TripathError",

@@ -17,8 +17,6 @@ import csv
 import io
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .classify import (
     classify_batch,
 )
 from .errors import InvalidInputError, UnsupportedFormatError
-from .hilbert import circle_points, hemisphere_project
+from .hilbert import circle_points
 from .interferometer import PATH_NAMES, PathSystem, default_system, probabilities
 from .kd import KD_PAIRS, _pair_geometry, inequality_sum, kd_profile
 from .states import N_STATE_ORDER, THETA_ORDER, canonical_states, joint_basis
@@ -46,6 +44,17 @@ MAX_RESOLUTION = 16384
 
 # Pixels per classify_batch call, taken as whole image rows.
 _BLOCK_PIXELS = 1 << 15
+
+# Fill colors of the 31 sub-classes as RGB rows in ALL_LABELS order, one
+# class per line: N red, V orange, B yellow, T green, X blue, Q purple.
+PALETTE = np.frombuffer(bytes.fromhex("""
+    e41a1c
+    ff7f00 fd9e41 fdbf6f e8852a d96b0c
+    ffd92f f5e642 e6c229 d4b106 c7a500
+    33a02c 66c2a5 1b9e77 52b788 74c476
+    1f78b4 3690c0 4eb3d3 6baed6 2171b5 08519c 4292c6 5aa7de 2b8cbe 0868ac
+    6a3d9a 807dba 9e9ac8 8c6bb1 756bb1
+"""), dtype=np.uint8).reshape(-1, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,24 +150,6 @@ def sample_atlas(
     return AtlasGrid(resolution=resolution, tol=tol, labels=labels)
 
 
-@lru_cache(maxsize=1)
-def palette() -> dict[str, tuple[int, int, int]]:
-    """Sub-class fill colors from the packaged config file."""
-    text = resources.files("tripath").joinpath("data/palette.txt").read_text()
-    out: dict[str, tuple[int, int, int]] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0] if raw.lstrip().startswith("#") else raw
-        if not line.strip():
-            continue
-        name, hexcolor = line.rsplit("#", 1)
-        h = hexcolor.strip()
-        out[name.strip()] = (int(h[0:2], 16), int(h[2:4], 16), int(h[4:6], 16))
-    missing = [str(l) for l in ALL_LABELS if str(l) not in out]
-    if missing:
-        raise UnsupportedFormatError(f"palette misses sub-classes: {missing}")
-    return out
-
-
 def render(
     grid: AtlasGrid | None, fmt: str = "raster", system: PathSystem | None = None
 ) -> bytearray | str:
@@ -177,12 +168,10 @@ def render(
 
 
 def _render_ppm(grid: AtlasGrid) -> bytearray:
-    colors = palette()
     table = np.zeros((len(ALL_LABELS) + 2, 3), dtype=np.uint8)
+    table[: len(ALL_LABELS)] = PALETTE
     table[EXTERIOR] = (255, 255, 255)
     table[BOUNDARY] = (0, 0, 0)
-    for i, label in enumerate(ALL_LABELS):
-        table[i] = colors[str(label)]
     header = f"P6\n{grid.resolution} {grid.resolution}\n255\n".encode("ascii")
     out = bytearray(len(header) + 3 * grid.labels.size)
     out[: len(header)] = header
@@ -198,10 +187,6 @@ def _render_ppm(grid: AtlasGrid) -> bytearray:
 
 
 _SVG_SAMPLES = 720
-
-
-def _svg_coord(u: float, v: float) -> tuple[float, float]:
-    return round(u, 5), round(-v, 5)  # SVG y axis points down
 
 
 def _render_svg(system: PathSystem) -> str:
@@ -223,8 +208,9 @@ def _render_svg(system: PathSystem) -> str:
             f"<title>P({name}) = 0</title></polyline>"
         )
     for name, state in named.items():
-        point = hemisphere_project(state.ray)
-        x, y = _svg_coord(point.u, point.v)
+        # chart point (u, v) = (c2, c3) of the c1 >= 0 representative; SVG y points down
+        _, u, v = map(float, state.ray.canonical())
+        x, y = round(u, 5), round(-v, 5)
         parts.append(f'<circle cx="{x}" cy="{y}" r="0.012" fill="#d62728"/>')
         parts.append(
             f'<text x="{x + 0.018}" y="{y - 0.012}" font-size="0.045" '

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,24 +31,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _plain(tok: str) -> float:
-    tok = tok.strip()
-    try:
-        return float(Fraction(tok))
-    except ValueError:
-        return float(tok)
-
-
 def _atom(tok: str) -> float:
     tok = tok.strip()
     if tok.startswith("√"):
-        return math.sqrt(_plain(tok[1:]))
+        return math.sqrt(float(tok[1:]))
     low = tok.lower()
     if low.startswith("sqrt(") and tok.endswith(")"):
-        return math.sqrt(_plain(tok[5:-1]))
+        return math.sqrt(float(tok[5:-1]))
     if low.startswith("sqrt"):
-        return math.sqrt(_plain(tok[4:]))
-    return _plain(tok)
+        return math.sqrt(float(tok[4:]))
+    return float(tok)
 
 
 def parse_amplitude(tok: str) -> float:
@@ -209,12 +200,14 @@ def _cmd_basis(args):
 
 
 def _cmd_atlas(args):
+    system = interferometer.default_system()
+    raster = args.format in ("raster", "both")
+    # sample before creating the directory, so bad input leaves none behind
+    grid = atlas.sample_atlas(args.resolution, args.tol, system) if raster else None
     outdir = Path(args.out or os.environ.get("TRIPATH_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    system = interferometer.default_system()
     written: list[Path] = []
-    if args.format in ("raster", "both"):
-        grid = atlas.sample_atlas(args.resolution, args.tol, system)
+    if raster:
         path = outdir / "atlas.ppm"
         path.write_bytes(atlas.render(grid, "raster"))
         written.append(path)

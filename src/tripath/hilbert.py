@@ -51,18 +51,6 @@ class RayState:
         return iter((self.c1, self.c2, self.c3))
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """Orthographic chart coordinates (u, v) = (c2, c3) of a hemisphere ray."""
-
-    u: float
-    v: float
-
-    def __post_init__(self) -> None:
-        if not self.u * self.u + self.v * self.v <= 1.0 + 1e-9:  # also rejects NaN
-            raise InvalidInputError("projected point lies outside the unit disk")
-
-
 def _as_array(v: RayState | Sequence[float] | np.ndarray) -> np.ndarray:
     if isinstance(v, RayState):
         return v.vector
@@ -129,16 +117,6 @@ def orthogonal_to_pair(a: RayState | Sequence[float], b: RayState | Sequence[flo
         raise DegeneratePairError("rays are parallel within tolerance")
     cross = np.cross(va, vb)
     return normalize(cross)
-
-
-def hemisphere_project(psi: RayState | Sequence[float]) -> SpherePoint:
-    """Project a ray onto the c1 >= 0 hemisphere chart.
-
-    The canonical representative is projected to (c2, c3): c1 > 0, and
-    on the equator (c1 = 0) the sign of c2, then of c3, picks it.
-    """
-    v = _canonical_sign(_as_array(psi))
-    return SpherePoint(float(v[1]), float(v[2]))
 
 
 def circle_points(axis: RayState | Sequence[float], n: int) -> np.ndarray:

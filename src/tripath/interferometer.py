@@ -93,18 +93,17 @@ class PathSystem:
     """
 
     spec: InterferometerSpec
-    paths: Mapping[str, RayState]
+    vectors: np.ndarray  # read-only (10, 3), rows in PATH_NAMES order
     outputs: Mapping[str, RayState]
 
     def ray(self, name: str) -> RayState:
-        try:
-            return self.paths[name]
-        except KeyError:
-            raise UnknownPathError(f"unknown path {name!r}") from None
+        if name not in PATH_NAMES:
+            raise UnknownPathError(f"unknown path {name!r}")
+        return RayState(*self.vectors[PATH_NAMES.index(name)])
 
     def matrix(self) -> np.ndarray:
-        """Rows of path vectors in PATH_NAMES order."""
-        return np.array([self.ray(n).vector for n in PATH_NAMES])
+        """Rows of path vectors in PATH_NAMES order, read-only."""
+        return self.vectors
 
 
 def _splitter(outer: np.ndarray, mid: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -126,20 +125,10 @@ def build(spec: InterferometerSpec | None = None) -> PathSystem:
     s2, p2 = _splitter(s1, p1, spec.rf)
     out2, d2 = _splitter(f, p2, spec.rS2)
     out1, out3 = _splitter(s2, d2, spec.r2)
-    paths = {
-        "1": RayState(*e1),
-        "2": RayState(*e2),
-        "3": RayState(*e3),
-        "S1": RayState(*s1),
-        "D1": RayState(*d1),
-        "f": RayState(*f),
-        "P1": RayState(*p1),
-        "P2": RayState(*p2),
-        "S2": RayState(*s2),
-        "D2": RayState(*d2),
-    }
+    vectors = np.array([e1, e2, e3, s1, d1, f, p1, p2, s2, d2])  # PATH_NAMES order
+    vectors.setflags(write=False)
     outputs = {"1": RayState(*out1), "2": RayState(*out2), "3": RayState(*out3)}
-    return PathSystem(spec=spec, paths=MappingProxyType(paths), outputs=MappingProxyType(outputs))
+    return PathSystem(spec=spec, vectors=vectors, outputs=MappingProxyType(outputs))
 
 
 @lru_cache(maxsize=1)
@@ -155,17 +144,12 @@ def verify_closure(system: PathSystem, tol: float = 1e-12) -> bool:
     )
 
 
-@lru_cache(maxsize=4)
-def _path_matrix(system: PathSystem) -> np.ndarray:
-    return system.matrix()
-
-
 def _amplitudes(vectors: np.ndarray, system: PathSystem | None = None) -> np.ndarray:
     """Path amplitudes <path|psi> of many rows, paths-major: row k holds path PATH_NAMES[k].
 
     Raises NonFiniteError naming the rows that hold a NaN or infinity.
     """
-    paths = _path_matrix(default_system() if system is None else system)
+    paths = (default_system() if system is None else system).matrix()
     vectors = np.asarray(vectors, dtype=float)
     if not np.isfinite(vectors).all():
         bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))

@@ -22,8 +22,6 @@ def test_all_lists_exactly_the_public_names():
     [
         (lambda: hilbert.RayState(1.0, 1.0, 0.0), "norm"),
         (lambda: hilbert.normalize([1.0, 2.0]), "3-vector"),
-        (lambda: hilbert.SpherePoint(1.0, 1.0), "outside the unit disk"),
-        (lambda: hilbert.SpherePoint(float("nan"), 0.0), "outside the unit disk"),
         (lambda: atlas.sample_atlas(8), "at least 16"),
         (lambda: atlas.sample_atlas(16.5), "must be an integer"),
         (lambda: atlas.sample_atlas(True), "must be an integer"),
@@ -34,7 +32,7 @@ def test_all_lists_exactly_the_public_names():
         (lambda: classify.classify_batch([[1.0, 0.0, 0.0]], tol=-1e-9), "non-negative"),
     ],
     ids=[
-        "ray-norm", "vector-shape", "sphere-point", "sphere-point-nan", "atlas-resolution",
+        "ray-norm", "vector-shape", "atlas-resolution",
         "atlas-resolution-float", "atlas-resolution-bool", "atlas-resolution-cap",
         "raster-grid", "scan-samples", "tol-nan", "tol-negative",
     ],

@@ -148,12 +148,9 @@ def test_n_region_is_connected(grid):
 
 
 def test_palette_covers_all_labels():
-    colors = atlas.palette()
-    assert len(colors) >= 31
-    for label in classify.ALL_LABELS:
-        rgb = colors[str(label)]
-        assert all(0 <= c <= 255 for c in rgb)
-    assert len({colors[str(l)] for l in classify.ALL_LABELS}) == 31
+    assert atlas.PALETTE.shape == (len(classify.ALL_LABELS), 3) == (31, 3)
+    assert atlas.PALETTE.dtype == np.uint8
+    assert len({tuple(rgb) for rgb in atlas.PALETTE.tolist()}) == 31
 
 
 def test_raster_output_shape(grid):

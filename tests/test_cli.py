@@ -225,6 +225,34 @@ def test_non_finite_amplitudes():
         assert "non-finite" in proc.stderr
 
 
+# Every token form of the benchmark's CLI session: a, a/b, √a, sqrt(a), each
+# with and without a leading minus; the state lines are the parent release's.
+@pytest.mark.parametrize(
+    "amplitudes, norm, state",
+    [
+        ("3,4/7,0", "3.05393690378", "(+0.982338566, +0.187112108, +0.000000000)"),
+        ("-2,√5,sqrt(3)", "3.46410161514", "(-0.577350269, +0.645497224, +0.500000000)"),
+        ("9/4,-√2,-sqrt(8)", "3.88104367407", "(+0.579740964, -0.364390015, -0.728780030)"),
+        ("-7/3,0,-1", "2.53859103529", "(-0.919145030, +0.000000000, -0.393919299)"),
+    ],
+)
+def test_amplitude_token_forms(amplitudes, norm, state, capsys):
+    assert cli.main(["kd", f"--amplitudes={amplitudes}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"note: normalizing amplitudes (norm was {norm})\n"
+    assert captured.out.splitlines()[0] == f"state custom: {state}"
+
+
+@pytest.mark.parametrize("amplitudes", ["1/2/3,1,0", "1e400,0,1"])
+def test_malformed_amplitudes_fail_cleanly(amplitudes):
+    # a second '/' is not a nested ratio, and an overflowing number is non-finite
+    proc = run_cli("kd", f"--amplitudes={amplitudes}")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tripath: error:"), proc.stderr
+
+
 def test_usage_errors_exit_1():
     assert run_cli().returncode == 1
     assert run_cli("frobnicate").returncode == 1
@@ -248,6 +276,14 @@ def test_atlas_writes_files(tmp_path):
     first = (out / "atlas.ppm").read_bytes()
     run_cli("atlas", "--resolution", "64", "--out", str(out))
     assert (out / "atlas.ppm").read_bytes() == first
+
+
+def test_atlas_bad_input_leaves_no_directory(tmp_path):
+    out = tmp_path / "newdir"
+    proc = run_cli("atlas", "--resolution", "5", "--out", str(out))
+    assert proc.returncode == 1
+    assert "at least 16" in proc.stderr
+    assert not out.exists()
 
 
 def test_atlas_outdir_env(tmp_path):

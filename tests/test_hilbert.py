@@ -10,8 +10,6 @@ from tripath import hilbert
 from tripath.errors import DegeneratePairError, NonFiniteError, ZeroVectorError
 from tripath.hilbert import (
     RayState,
-    SpherePoint,
-    hemisphere_project,
     inner,
     normalize,
     orthogonal_to_pair,
@@ -115,24 +113,19 @@ def test_orthogonal_to_pair_degenerate():
 
 
 def test_hemisphere_project_front_and_back():
-    p = hemisphere_project(normalize([0.6, 0.48, 0.64]))
-    assert p.u == pytest.approx(0.48) and p.v == pytest.approx(0.64)
+    # the atlas chart point (u, v) is (c2, c3) of the canonical representative
+    p = normalize([0.6, 0.48, 0.64]).canonical()
+    assert p.c2 == pytest.approx(0.48) and p.c3 == pytest.approx(0.64)
     # antipode lands on the same chart point
-    q = hemisphere_project(np.array([-0.6, -0.48, -0.64]))
-    assert q.u == pytest.approx(0.48) and q.v == pytest.approx(0.64)
+    q = RayState(-0.6, -0.48, -0.64).canonical()
+    assert q.c2 == pytest.approx(0.48) and q.c3 == pytest.approx(0.64)
 
 
 def test_hemisphere_project_equator_ties():
-    p = hemisphere_project(np.array([0.0, -1.0, 0.0]))
-    assert p.u == pytest.approx(1.0) and p.v == pytest.approx(0.0)
-    p = hemisphere_project(np.array([0.0, 0.0, -1.0]))
-    assert p.v == pytest.approx(1.0)
-
-
-def test_sphere_point_validation():
-    SpherePoint(0.6, 0.8)
-    with pytest.raises(ValueError):
-        SpherePoint(0.9, 0.9)
+    p = RayState(0.0, -1.0, 0.0).canonical()
+    assert p.c2 == pytest.approx(1.0) and p.c3 == pytest.approx(0.0)
+    p = RayState(0.0, 0.0, -1.0).canonical()
+    assert p.c3 == pytest.approx(1.0)
 
 
 def test_circle_points_continuity():
@@ -157,10 +150,3 @@ def test_normalize_is_projective(v):
     # parallel to the input
     cross = np.cross(np.asarray(v, dtype=float), r.vector)
     assert np.linalg.norm(cross) < 1e-6 * np.linalg.norm(v)
-
-
-@settings(max_examples=60, deadline=None)
-@given(unit_vec)
-def test_hemisphere_projection_in_disk(v):
-    p = hemisphere_project(normalize(v))
-    assert p.u**2 + p.v**2 <= 1.0 + 1e-9

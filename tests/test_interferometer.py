@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tripath import classify
 from tripath import interferometer as itf
 from tripath.errors import InvalidReflectivityError, UnknownPathError
 from tripath.hilbert import inner, normalize, same_ray
 
-from conftest import random_unit_vectors
+from conftest import closing_system, random_unit_vectors
 
 S2 = math.sqrt(2.0)
 S3 = math.sqrt(3.0)
@@ -118,7 +122,9 @@ def test_matrix_rows(system):
     m = system.matrix()
     assert m.shape == (10, 3)
     for row, name in zip(m, itf.PATH_NAMES):
-        assert np.allclose(row, system.ray(name).vector)
+        assert np.array_equal(row, system.ray(name).vector)
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 2.0
 
 
 def test_unknown_path(system):
@@ -131,3 +137,14 @@ def test_build_is_pure():
     b = itf.build(itf.InterferometerSpec())
     for name in itf.PATH_NAMES:
         assert np.array_equal(a.ray(name).vector, b.ray(name).vector)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+def test_closing_family_is_closed(r1, rS1):
+    system = closing_system(r1, rS1)
+    for ctx in itf.CONTEXTS:
+        rows = np.array([system.ray(m).vector for m in ctx.members])
+        assert np.abs(rows @ rows.T - np.eye(3)).max() <= 1e-12, (ctx.name, r1, rS1)
+    assert itf.verify_closure(system)
+    assert classify.build_subclass_table(system).labels == classify.ALL_LABELS
