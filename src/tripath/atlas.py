@@ -4,11 +4,11 @@ The c1 >= 0 hemisphere is mapped orthographically to the unit disk with
 chart coordinates (u, v) = (c2, c3).  Each pixel center inside the disk
 lifts to a ray and is painted with its sub-class color, or boundary
 marked where a KD value lies within tol of zero.  Labels only change
-where a pixel row crosses one of the ten zero circles P(path) = 0, so
-only the pixels next to those crossings and the first pixel of each run
-between them are classified; the run takes that pixel's label.  Raster
-output is binary PPM, vector output is standalone SVG showing the ten
-zero-probability circles and the twenty named states.
+where a pixel row crosses one of the ten zero circles P(path) = 0; the
+crossings' closed form gives each row's runs from the band endpoints,
+and only each run's first pixel is classified.  Raster output is binary
+PPM, vector output is standalone SVG showing the ten zero-probability
+circles and the twenty named states.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ EXTERIOR = -2
 # grows with the resolution.
 MAX_RESOLUTION = 16384
 
-# Pixels per classify_batch call, taken as whole image rows.
-_BLOCK_PIXELS = 1 << 15
+# Pixels per row block of the sampler and the PPM renderer, taken as whole rows.
+_BLOCK_PIXELS = 1 << 17
 
 # Fill colors of the 31 sub-classes as RGB rows in ALL_LABELS order, one
 # class per line: N red, V orange, B yellow, T green, X blue, Q purple.
@@ -91,14 +91,15 @@ def sample_atlas(
 ) -> AtlasGrid:
     """Classify every pixel of a resolution x resolution chart.
 
-    Rows go in blocks of about 2^15 pixels.  Each window pixel, one within
-    a pixel of a band |A_k| < eps with eps = 2 sqrt(tol / min|<a|b>|),
-    goes through classify_batch; each run of pixels between windows and
-    disk edges sends only its first pixel and takes its label.  That is
-    exact: along such a run every |A_k| >= eps, so no amplitude changes
-    sign and every |rho| >= min|<a|b>| eps^2 = 4 tol.
-    ``resolution`` must be an integer from 16 to MAX_RESOLUTION;
-    anything else raises InvalidInputError.
+    Rows go in blocks of about 2^17 pixels.  On each row the amplitudes'
+    closed form gives each band |A_k| < eps, eps = 2 sqrt(tol / min|<a|b>|),
+    as a pixel range.  Runs start at each pixel in or next to a band, at
+    the pixel after that window, at the row start and at the disk edges;
+    only the run starts in the disk go through classify_batch, and each
+    run takes its first pixel's label.  That is exact: along a run every
+    |A_k| >= eps, so no amplitude changes sign and every |rho| >=
+    min|<a|b>| eps^2 = 4 tol.  ``resolution`` must be an integer from 16
+    to MAX_RESOLUTION; anything else raises InvalidInputError.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
         raise InvalidInputError(f"atlas resolution must be an integer, got {resolution!r}")
@@ -112,6 +113,8 @@ def sample_atlas(
     m, phi = np.hypot(k1, k2), np.arctan2(k2, k1)
     eps = 2.0 * np.sqrt(_checked_tol(tol) / np.abs(_pair_geometry(system)[2]).min())
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
+    # pixel x of a row sits at rim[x + 1]; pads put x = -1 and resolution off the disk
+    rim = np.concatenate([[np.inf], centers, [np.inf]])
     labels = np.full((resolution, resolution), EXTERIOR, dtype=np.int16)
     rows = max(1, _BLOCK_PIXELS // resolution)
     for top in range(0, resolution, rows):
@@ -128,25 +131,32 @@ def sample_atlas(
         lo, hi = np.maximum(start, -np.pi / 2), np.minimum(start + (far - near), np.pi / 2)
         keep = lo <= hi
         x_lo, x_hi = ((radius * np.sin(np.stack([lo, hi])) + 1.0) * (resolution / 2) - 0.5)[:, keep]
-        # window: the pixels in each band and the nearest pixel on either side
-        first, stop = np.clip([np.ceil(x_lo) - 1, np.floor(x_hi) + 2], 0, resolution).astype(int)
-        diff, row = np.zeros((len(v), resolution + 1), dtype=np.int8), np.nonzero(keep)[1]
-        np.add.at(diff, (row, first), 1)
-        np.add.at(diff, (row, stop), -1)
-        window = diff.cumsum(axis=1, dtype=np.int8)[:, :-1] > 0
-        # runs start at each row start, disk edge and window pixel, and after
-        # each window pixel, so that a run keeps a pixel away from every band
-        inside = centers * centers + v * v <= 1.0
-        cut = window.copy()
-        cut[:, 1:] |= window[:, :-1] | (inside[:, 1:] != inside[:, :-1])
-        cut[:, 0] = True
-        starts = np.flatnonzero(cut)
+        # runs start at each pixel of a band's window (its pixels and one on
+        # either side) and at the pixel after it: count >= 1 pixels from first,
+        # as x lies in [-0.5, resolution - 0.5]; bands holds them as flat indices
+        first = np.maximum(np.ceil(x_lo) - 1, 0).astype(int)
+        count = np.minimum(np.floor(x_hi) + 2, resolution - 1).astype(int) - first + 1
+        offset = np.nonzero(keep)[1] * resolution + first - (np.cumsum(count) - count)
+        # and at each row start and disk edge.  A row's disk pixels are
+        # [edge, end); the closed-form guess is off by at most one pixel, and
+        # the exact test c^2 + v^2 <= 1 at the pixels beside it sets it right
+        edge = np.ceil((1.0 - radius) * (resolution / 2) - 0.5).astype(int)
+        end = np.floor((1.0 + radius) * (resolution / 2) - 0.5).astype(int) + 1
+        c = rim[np.concatenate([edge, edge + 1, end, end + 1], axis=1)]
+        inside = c * c + v * v <= 1.0  # pixels edge - 1, edge, end - 1, end
+        edge = edge - inside[:, :1] + ~inside[:, 1:2]
+        end = end + inside[:, 3:] - ~inside[:, 2:3]
+        bands, row = np.repeat(offset, count) + np.arange(count.sum()), np.arange(len(v))[:, None] * resolution
+        cuts = np.concatenate([bands, np.hstack([row, row + edge, row + end]).ravel(), [len(v) * resolution]])
+        cuts.sort()
+        # the block's end is the largest cut; the others, without repeats, are the run starts
+        starts = cuts[:-1][cuts[1:] != cuts[:-1]]
         iy, ix = np.divmod(starts, resolution)
         values = np.full(len(starts), EXTERIOR, dtype=np.int16)
-        disk = inside[iy, ix]
+        disk = (ix >= edge[iy, 0]) & (ix < end[iy, 0])
         # classify_batch gives boundary rays the index -1, which is BOUNDARY
         values[disk] = classify_batch(lift(centers[ix[disk]], v[iy[disk], 0]), system, tol)[1]
-        labels[top : top + rows] = np.repeat(values, np.diff(starts, append=cut.size)).reshape(cut.shape)
+        labels[top : top + rows] = np.repeat(values, np.diff(starts, append=cuts[-1])).reshape(len(v), -1)
     return AtlasGrid(resolution=resolution, tol=tol, labels=labels)
 
 

@@ -43,6 +43,7 @@ exactly the sub-classes that touch it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -198,8 +199,8 @@ def _build_table_cached(system: PathSystem) -> SubclassTable:
 
 
 def _checked_tol(tol: float) -> float:
-    """``tol`` raised to TOL_FLOOR; NaN and negative values raise InvalidInputError."""
-    if not tol >= 0.0:  # also rejects NaN
+    """``tol`` raised to TOL_FLOOR; a non-number, NaN or negative value raises InvalidInputError."""
+    if not isinstance(tol, numbers.Real) or not tol >= 0.0:  # also rejects NaN
         raise InvalidInputError(f"tol must be a non-negative number, got {tol!r}")
     return max(tol, TOL_FLOOR)
 

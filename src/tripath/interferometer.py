@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidReflectivityError, NonFiniteError, UnknownPathError
+from .errors import InvalidInputError, InvalidReflectivityError, NonFiniteError, UnknownPathError
 from .hilbert import RayState, same_ray
 
 PATH_NAMES = ("1", "2", "3", "S1", "D1", "f", "P1", "P2", "S2", "D2")
@@ -147,10 +147,13 @@ def verify_closure(system: PathSystem, tol: float = 1e-12) -> bool:
 def _amplitudes(vectors: np.ndarray, system: PathSystem | None = None) -> np.ndarray:
     """Path amplitudes <path|psi> of many rows, paths-major: row k holds path PATH_NAMES[k].
 
-    Raises NonFiniteError naming the rows that hold a NaN or infinity.
+    Raises InvalidInputError for an array not of shape (n, 3) and
+    NonFiniteError naming the rows that hold a NaN or infinity.
     """
     paths = (default_system() if system is None else system).matrix()
     vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2 or vectors.shape[1] != 3:
+        raise InvalidInputError(f"expected an (n, 3) array, got shape {vectors.shape}")
     if not np.isfinite(vectors).all():
         bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
         raise NonFiniteError(f"non-finite coefficients in {len(bad)} rows, first {bad[:10].tolist()}")

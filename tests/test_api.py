@@ -1,5 +1,6 @@
 import types
 
+import numpy as np
 import pytest
 
 import tripath
@@ -30,11 +31,17 @@ def test_all_lists_exactly_the_public_names():
         (lambda: kd.extremal_kd_on_circle("S1", "S2", n=3), "at least 4"),
         (lambda: classify.classify(hilbert.normalize([1, 0, 0]), tol=float("nan")), "non-negative"),
         (lambda: classify.classify_batch([[1.0, 0.0, 0.0]], tol=-1e-9), "non-negative"),
+        (lambda: classify.classify(hilbert.normalize([1, 0, 0]), tol="1e-9"), "number, got '1e-9'"),
+        (lambda: atlas.sample_atlas(16, tol=None), "number, got None"),
+        (lambda: classify.classify_batch(np.ones((2, 2))), r"\(n, 3\) array, got shape \(2, 2\)"),
+        (lambda: classify.classify_batch(np.array([1.0, 0.0, 0.0])), r"got shape \(3,\)"),
+        (lambda: kd.profile_values_batch(np.ones((2, 2))), r"got shape \(2, 2\)"),
     ],
     ids=[
         "ray-norm", "vector-shape", "atlas-resolution",
         "atlas-resolution-float", "atlas-resolution-bool", "atlas-resolution-cap",
-        "raster-grid", "scan-samples", "tol-nan", "tol-negative",
+        "raster-grid", "scan-samples", "tol-nan", "tol-negative", "tol-string", "tol-none",
+        "batch-shape", "batch-row", "profile-batch-shape",
     ],
 )
 def test_bad_caller_input_raises_a_typed_error(call, message):
@@ -42,3 +49,9 @@ def test_bad_caller_input_raises_a_typed_error(call, message):
         call()
     assert isinstance(info.value, TripathError)
     assert isinstance(info.value, ValueError)
+
+
+def test_empty_batch_gives_empty_arrays():
+    boundary, idx = classify.classify_batch(np.zeros((0, 3)))
+    assert boundary.shape == idx.shape == (0,)
+    assert kd.profile_values_batch(np.zeros((0, 3))).shape == (0, 10)

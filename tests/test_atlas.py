@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import tracemalloc
 import warnings
 from collections import deque
 
@@ -73,8 +74,8 @@ def every_pixel_labels(resolution, tol, system):
     ],
 )
 def test_row_blocks_match_one_batch_call(system, monkeypatch, resolution, tol):
-    # 300, 1000 and 2048 put a block edge inside the disk at the module's
-    # block size; blocks of 7 rows put several there at every resolution
+    # 1000 and 2048 put a block edge inside the disk at the module's block
+    # size; blocks of 7 rows put several there at every resolution
     want = every_pixel_labels(resolution, tol, system)
     got = atlas.sample_atlas(resolution, tol, system).labels
     assert got.dtype == np.int16
@@ -105,6 +106,32 @@ def test_scanline_matches_every_pixel(resolution, tol):
     system = interferometer.default_system()
     got = atlas.sample_atlas(resolution, tol, system).labels
     assert np.array_equal(got, every_pixel_labels(resolution, tol, system))
+
+
+def test_only_run_starts_are_classified(system, monkeypatch):
+    # a run start is a window pixel, the pixel after a window, a row start
+    # or a disk edge; at 2048 the disk holds 3 294 288 pixels
+    rays = []
+
+    def counting(vectors, *args):
+        rays.append(len(vectors))
+        return classify.classify_batch(vectors, *args)
+
+    monkeypatch.setattr(atlas, "classify_batch", counting)
+    atlas.sample_atlas(2048, system=system)
+    assert sum(rays) == 50_289
+
+
+@pytest.mark.parametrize("resolution", [512, 2048, 4096])
+def test_sampler_memory_does_not_grow_with_resolution(system, resolution):
+    atlas.sample_atlas(16, system=system)  # build the cached tables first
+    tracemalloc.start()
+    try:
+        grid = atlas.sample_atlas(resolution, system=system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - grid.labels.nbytes < 4 << 20
 
 
 def test_sampling_raises_no_numpy_warnings(system):
