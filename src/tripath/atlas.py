@@ -5,10 +5,10 @@ chart coordinates (u, v) = (c2, c3).  Each pixel center inside the disk
 lifts to a ray and is painted with its sub-class color, or boundary
 marked where a KD value lies within tol of zero.  Labels only change
 where a pixel row crosses one of the ten zero circles P(path) = 0; the
-crossings' closed form gives each row's runs from the band endpoints,
-and only each run's first pixel is classified.  Raster output is binary
-PPM, vector output is standalone SVG showing the ten zero-probability
-circles and the twenty named states.
+crossings' closed form gives each row's runs, only each run's first
+pixel is classified, and the atlas keeps the runs, so the PPM is the
+one buffer that grows with the resolution.  Raster output is binary
+PPM, vector output is SVG of the ten zero circles and the named states.
 """
 
 from __future__ import annotations
@@ -38,12 +38,14 @@ from .states import N_STATE_ORDER, THETA_ORDER, canonical_states, joint_basis
 BOUNDARY = -1
 EXTERIOR = -2
 
-# Largest resolution: its int16 labels take 512 MB, the one buffer that
-# grows with the resolution.
+# Largest resolution: its PPM takes 768 MB, the one buffer that grows
+# with the resolution.
 MAX_RESOLUTION = 16384
 
-# Pixels per row block of the sampler and the PPM renderer, taken as whole rows.
+# Pixels per row block of the sampler and the PPM renderer, taken as whole
+# rows, and run starts per classify_batch call, which bound its temporaries.
 _BLOCK_PIXELS = 1 << 17
+_BATCH_RAYS = 1 << 13
 
 # Fill colors of the 31 sub-classes as RGB rows in ALL_LABELS order, one
 # class per line: N red, V orange, B yellow, T green, X blue, Q purple.
@@ -59,23 +61,31 @@ PALETTE = np.frombuffer(bytes.fromhex("""
 
 @dataclass(frozen=True, eq=False)
 class AtlasGrid:
-    """Per-pixel sub-class indices over the chart square [-1, 1]^2.
+    """Sub-class indices over the chart square [-1, 1]^2, as runs of pixels.
 
-    Row 0 is the top of the image (v = +1); u grows to the right.
-    ``labels[iy, ix]`` indexes ALL_LABELS, or BOUNDARY / EXTERIOR.
+    Row 0 is the top of the image (v = +1); u grows to the right.  Run k
+    starts at flat pixel ``starts[k]``, every row start among them, and
+    holds ``values[k]``: an index into ALL_LABELS, or BOUNDARY / EXTERIOR.
     """
 
     resolution: int
     tol: float
-    labels: np.ndarray
+    starts: np.ndarray  # int64, strictly increasing from 0
+    values: np.ndarray  # int16
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.starts, append=self.resolution**2)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Dense (resolution, resolution) int16 labels, built on each access."""
+        return np.repeat(self.values, self.lengths).reshape(self.resolution, self.resolution)
 
     def label_counts(self) -> dict[ClassLabel, int]:
-        out = {}
-        for i, label in enumerate(ALL_LABELS):
-            n = int(np.count_nonzero(self.labels == i))
-            if n:
-                out[label] = n
-        return out
+        region = self.values >= 0
+        counts = np.bincount(self.values[region], self.lengths[region], len(ALL_LABELS))
+        return {label: int(n) for label, n in zip(ALL_LABELS, counts) if n}
 
 
 def lift(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -91,15 +101,15 @@ def sample_atlas(
 ) -> AtlasGrid:
     """Classify every pixel of a resolution x resolution chart.
 
-    Rows go in blocks of about 2^17 pixels.  On each row the amplitudes'
-    closed form gives each band |A_k| < eps, eps = 2 sqrt(tol / min|<a|b>|),
-    as a pixel range.  Runs start at each pixel in or next to a band, at
-    the pixel after that window, at the row start and at the disk edges;
-    only the run starts in the disk go through classify_batch, and each
-    run takes its first pixel's label.  That is exact: along a run every
-    |A_k| >= eps, so no amplitude changes sign and every |rho| >=
-    min|<a|b>| eps^2 = 4 tol.  ``resolution`` must be an integer from 16
-    to MAX_RESOLUTION; anything else raises InvalidInputError.
+    On each row the amplitudes' closed form gives each band |A_k| < eps,
+    eps = 2 sqrt(tol / min|<a|b>|), as a pixel range.  Runs start at each
+    pixel in or next to a band, at the pixel after that window, at the
+    row start and at the disk edges; only the run starts in the disk go
+    through classify_batch, and each run takes its first pixel's label.
+    That is exact: along a run every |A_k| >= eps, so no amplitude
+    changes sign and every |rho| >= min|<a|b>| eps^2 = 4 tol.  Equal
+    neighbours in a row merge.  ``resolution`` must be an integer from
+    16 to MAX_RESOLUTION; anything else raises InvalidInputError.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
         raise InvalidInputError(f"atlas resolution must be an integer, got {resolution!r}")
@@ -115,7 +125,7 @@ def sample_atlas(
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
     # pixel x of a row sits at rim[x + 1]; pads put x = -1 and resolution off the disk
     rim = np.concatenate([[np.inf], centers, [np.inf]])
-    labels = np.full((resolution, resolution), EXTERIOR, dtype=np.int16)
+    runs = []
     rows = max(1, _BLOCK_PIXELS // resolution)
     for top in range(0, resolution, rows):
         v = -centers[top : top + rows, None]  # row 0 at v = +1
@@ -153,11 +163,13 @@ def sample_atlas(
         starts = cuts[:-1][cuts[1:] != cuts[:-1]]
         iy, ix = np.divmod(starts, resolution)
         values = np.full(len(starts), EXTERIOR, dtype=np.int16)
-        disk = (ix >= edge[iy, 0]) & (ix < end[iy, 0])
-        # classify_batch gives boundary rays the index -1, which is BOUNDARY
-        values[disk] = classify_batch(lift(centers[ix[disk]], v[iy[disk], 0]), system, tol)[1]
-        labels[top : top + rows] = np.repeat(values, np.diff(starts, append=cuts[-1])).reshape(len(v), -1)
-    return AtlasGrid(resolution=resolution, tol=tol, labels=labels)
+        disk = np.flatnonzero((ix >= edge[iy, 0]) & (ix < end[iy, 0]))
+        for at in np.split(disk, range(_BATCH_RAYS, len(disk), _BATCH_RAYS)):
+            # classify_batch gives boundary rays the index -1, which is BOUNDARY
+            values[at] = classify_batch(lift(centers[ix[at]], v[iy[at], 0]), system, tol)[1]
+        keep = np.append(True, values[1:] != values[:-1]) | (ix == 0)
+        runs.append((starts[keep] + top * resolution, values[keep]))
+    return AtlasGrid(resolution, tol, *map(np.concatenate, zip(*runs)))
 
 
 def render(
@@ -178,21 +190,19 @@ def render(
 
 
 def _render_ppm(grid: AtlasGrid) -> bytearray:
-    table = np.zeros((len(ALL_LABELS) + 2, 3), dtype=np.uint8)
-    table[: len(ALL_LABELS)] = PALETTE
-    table[EXTERIOR] = (255, 255, 255)
-    table[BOUNDARY] = (0, 0, 0)
-    header = f"P6\n{grid.resolution} {grid.resolution}\n255\n".encode("ascii")
-    out = bytearray(len(header) + 3 * grid.labels.size)
+    table = np.concatenate([PALETTE, np.uint8([[255, 255, 255], [0, 0, 0]])])  # rows -2, -1: EXTERIOR, BOUNDARY
+    res = grid.resolution
+    header = f"P6\n{res} {res}\n255\n".encode("ascii")
+    out = bytearray(len(header) + 3 * res * res)
     out[: len(header)] = header
-    image = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(*grid.labels.shape, 3)
-    # Row blocks bound the intp copy that take makes of the indices; "wrap"
-    # maps the negative BOUNDARY and EXTERIOR indices to the last table rows,
-    # as plain indexing does, and writes straight into ``out``.
-    rows = max(1, _BLOCK_PIXELS // grid.resolution)
-    for top in range(0, grid.resolution, rows):
-        block = slice(top, top + rows)
-        np.take(table, grid.labels[block], axis=0, out=image[block], mode="wrap")
+    image = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(-1, 3)
+    colors, lengths = table[grid.values], grid.lengths
+    # every row starts a run, so a block of whole rows is a slice of runs
+    pixels = np.append(np.arange(0, res, max(1, _BLOCK_PIXELS // res)) * res, res * res)
+    runs = np.searchsorted(grid.starts, pixels)
+    for a, b, i, j in zip(pixels[:-1], pixels[1:], runs[:-1], runs[1:]):
+        for c in range(3):
+            image[a:b, c] = np.repeat(colors[i:j, c], lengths[i:j])
     return out
 
 

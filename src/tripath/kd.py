@@ -214,13 +214,13 @@ def extremal_kd_on_circle(
     e2 = vb - g * va
     e2 /= np.linalg.norm(e2)
     angles = np.pi * np.arange(n) / n  # half turn covers every ray once
-    points = np.outer(np.cos(angles), va) + np.outer(np.sin(angles), e2)
-    rho = g * (points @ va) * (points @ vb)
+    cos, sin = np.cos(angles), np.sin(angles)
+    rho = g * (cos * (va @ va) + sin * (e2 @ va)) * (cos * g + sin * (e2 @ vb))
     hi, lo = int(np.argmax(rho)), int(np.argmin(rho))
     return ExtremalScan(
         pair=(a, b),
-        max_state=normalize(points[hi]),
+        max_state=normalize(cos[hi] * va + sin[hi] * e2),
         max_value=float(rho[hi]),
-        min_state=normalize(points[lo]),
+        min_state=normalize(cos[lo] * va + sin[lo] * e2),
         min_value=float(rho[lo]),
     )

@@ -122,16 +122,53 @@ def test_only_run_starts_are_classified(system, monkeypatch):
     assert sum(rays) == 50_289
 
 
-@pytest.mark.parametrize("resolution", [512, 2048, 4096])
-def test_sampler_memory_does_not_grow_with_resolution(system, resolution):
-    atlas.sample_atlas(16, system=system)  # build the cached tables first
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+@pytest.mark.parametrize("resolution, closing", [(17, False), (301, False), (2048, False), (301, True)])
+def test_grid_holds_merged_runs(system, resolution, closing, tol):
+    if closing:
+        system = closing_system(0.4, 0.3)
+    grid = atlas.sample_atlas(resolution, tol, system)
+    starts, values = grid.starts, grid.values
+    assert starts.dtype == np.int64 and values.dtype == np.int16 and len(starts) == len(values)
+    assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < resolution**2
+    assert np.isin(np.arange(0, resolution**2, resolution), starts).all()
+    within_row = starts[1:] % resolution != 0
+    assert (values[1:] != values[:-1])[within_row].all()
+    index, count = np.unique(grid.labels, return_counts=True)
+    want = {classify.ALL_LABELS[i]: int(n) for i, n in zip(index, count) if i >= 0}
+    assert grid.label_counts() == want
+
+
+def traced_peak(call):
     tracemalloc.start()
     try:
-        grid = atlas.sample_atlas(resolution, system=system)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - grid.labels.nbytes < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "resolution, tol, limit_mb",
+    [
+        pytest.param(512, classify.DEFAULT_TOL, 4, id="512"),
+        pytest.param(2048, classify.DEFAULT_TOL, 4, id="2048"),
+        pytest.param(4096, classify.DEFAULT_TOL, 4, id="4096"),
+        # nearly every pixel starts a run and goes through classify_batch
+        pytest.param(2048, 1e-3, 16, id="2048-tol1e-3"),
+    ],
+)
+def test_sampler_memory_does_not_grow_with_resolution(system, resolution, tol, limit_mb):
+    atlas.sample_atlas(16, system=system)  # build the cached tables first
+    _, peak = traced_peak(lambda: atlas.sample_atlas(resolution, tol, system))
+    assert peak < limit_mb << 20
+
+
+@pytest.mark.parametrize("resolution", [512, 2048, 4096])
+def test_raster_memory_is_the_ppm(system, resolution):
+    grid = atlas.sample_atlas(resolution, system=system)
+    ppm, peak = traced_peak(lambda: atlas.render(grid, "raster"))
+    assert peak - len(ppm) < 2 << 20
 
 
 def test_sampling_raises_no_numpy_warnings(system):
