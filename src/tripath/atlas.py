@@ -42,10 +42,15 @@ EXTERIOR = -2
 # with the resolution.
 MAX_RESOLUTION = 16384
 
-# Pixels per row block of the sampler and the PPM renderer, taken as whole
-# rows, and run starts per classify_batch call, which bound its temporaries.
+# Pixels per row block of the PPM renderer, taken as whole rows.
 _BLOCK_PIXELS = 1 << 17
-_BATCH_RAYS = 1 << 13
+# Expected run starts per row block of the sampler, which bound its
+# temporaries.  A row crosses the bands of the ten zero circles about 20
+# times, each in a window of about eps * resolution + 3 pixels, and holds
+# at most resolution run starts.
+_BLOCK_STARTS = 1 << 14
+# Rays per classify_batch call: its (10, n) float temporaries stay at 160 KB.
+_BATCH_RAYS = 1 << 11
 
 # Fill colors of the 31 sub-classes as RGB rows in ALL_LABELS order, one
 # class per line: N red, V orange, B yellow, T green, X blue, Q purple.
@@ -94,6 +99,19 @@ def lift(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([c1, u, v], axis=-1)
 
 
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The integers first[i], ..., first[i] + count[i] - 1 for each i, concatenated."""
+    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
+
+
+def _checked_resolution(resolution: int) -> None:
+    """Raise InvalidInputError unless ``resolution`` is an integer from 16 to MAX_RESOLUTION."""
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
+        raise InvalidInputError(f"atlas resolution must be an integer, got {resolution!r}")
+    if not 16 <= resolution <= MAX_RESOLUTION:
+        raise InvalidInputError(f"atlas resolution must be at least 16 and at most {MAX_RESOLUTION}, got {resolution}")
+
+
 def sample_atlas(
     resolution: int,
     tol: float = DEFAULT_TOL,
@@ -108,13 +126,13 @@ def sample_atlas(
     through classify_batch, and each run takes its first pixel's label.
     That is exact: along a run every |A_k| >= eps, so no amplitude
     changes sign and every |rho| >= min|<a|b>| eps^2 = 4 tol.  Equal
-    neighbours in a row merge.  ``resolution`` must be an integer from
-    16 to MAX_RESOLUTION; anything else raises InvalidInputError.
+    neighbours in a row merge.  Rows go in blocks of about _BLOCK_STARTS
+    expected run starts, and classify_batch takes _BATCH_RAYS of them at
+    a time, so the memory held does not grow with the resolution or the
+    tol.  ``resolution`` must be an integer from 16 to MAX_RESOLUTION;
+    anything else raises InvalidInputError.
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
-        raise InvalidInputError(f"atlas resolution must be an integer, got {resolution!r}")
-    if not 16 <= resolution <= MAX_RESOLUTION:
-        raise InvalidInputError(f"atlas resolution must be at least 16 and at most {MAX_RESOLUTION}, got {resolution}")
+    _checked_resolution(resolution)
     if system is None:
         system = default_system()
     # On the row at height v, (c1, u) = R (cos t, sin t) with R^2 = 1 - v^2,
@@ -123,52 +141,62 @@ def sample_atlas(
     m, phi = np.hypot(k1, k2), np.arctan2(k2, k1)
     eps = 2.0 * np.sqrt(_checked_tol(tol) / np.abs(_pair_geometry(system)[2]).min())
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
+    # Row y lies at height v[y] (row 0 at v = +1) and holds the disk pixels
+    # [edge[y], end[y]).  The closed-form guess is off by at most one pixel;
+    # the exact test c^2 + v^2 <= 1 at the pixels beside it sets it right.
+    v = -centers
+    radius = np.sqrt(1.0 - v * v)
+    edge = np.ceil((1.0 - radius) * (resolution / 2) - 0.5).astype(np.int32)
+    end = np.floor((1.0 + radius) * (resolution / 2) - 0.5).astype(np.int32) + 1
     # pixel x of a row sits at rim[x + 1]; pads put x = -1 and resolution off the disk
     rim = np.concatenate([[np.inf], centers, [np.inf]])
+    c = rim[np.stack([edge, edge + 1, end, end + 1])]
+    inside = c * c + v * v <= 1.0  # pixels edge - 1, edge, end - 1, end
+    edge = edge - inside[0] + ~inside[1]
+    end = end + inside[3] - ~inside[2]
+    sign = np.array([1.0, -1.0])[:, None, None]
     runs = []
-    rows = max(1, _BLOCK_PIXELS // resolution)
+    # past eps = 1 the windows fill every row, and an infinite tol has no int
+    rows = max(1, _BLOCK_STARTS // min(20 * (int(min(eps, 1.0) * resolution) + 3), resolution))
     for top in range(0, resolution, rows):
-        v = -centers[top : top + rows, None]  # row 0 at v = +1
-        radius = np.sqrt(1.0 - v * v)
+        vb, rb = v[top : top + rows, None], radius[top : top + rows, None]
         # cos(t - phi) bounds of the band |A_k| < eps; path 3 has m = 0, and
         # its band fills the row when |k3 v| < eps and misses it otherwise
-        bounds, scale = np.stack([eps - k3 * v, -eps - k3 * v]), radius * m
+        bounds, scale = sign * eps - k3 * vb, rb * m
         cosines = np.divide(bounds, scale, out=np.copysign(2.0, bounds), where=scale > 0)
-        near, far = np.arccos(np.clip(cosines, -1.0, 1.0))
+        angles = np.arccos(np.clip(cosines, -1.0, 1.0))  # near, far
         # t - phi in [near, far] or [-far, -near]: wrap each start into
         # [-3pi/2, pi/2) and cut the band to the row, t in [-pi/2, pi/2]
-        start = np.mod(phi + np.stack([near, -far]) + 1.5 * np.pi, 2.0 * np.pi) - 1.5 * np.pi
-        lo, hi = np.maximum(start, -np.pi / 2), np.minimum(start + (far - near), np.pi / 2)
+        start = np.mod(phi + sign * angles + 1.5 * np.pi, 2.0 * np.pi) - 1.5 * np.pi
+        lo, hi = np.maximum(start, -np.pi / 2), np.minimum(start + (angles[1] - angles[0]), np.pi / 2)
         keep = lo <= hi
-        x_lo, x_hi = ((radius * np.sin(np.stack([lo, hi])) + 1.0) * (resolution / 2) - 0.5)[:, keep]
+        x_lo, x_hi = ((rb * np.sin(np.stack([lo, hi])) + 1.0) * (resolution / 2) - 0.5)[:, keep]
         # runs start at each pixel of a band's window (its pixels and one on
         # either side) and at the pixel after it: count >= 1 pixels from first,
         # as x lies in [-0.5, resolution - 0.5]; bands holds them as flat indices
         first = np.maximum(np.ceil(x_lo) - 1, 0).astype(int)
         count = np.minimum(np.floor(x_hi) + 2, resolution - 1).astype(int) - first + 1
-        offset = np.nonzero(keep)[1] * resolution + first - (np.cumsum(count) - count)
-        # and at each row start and disk edge.  A row's disk pixels are
-        # [edge, end); the closed-form guess is off by at most one pixel, and
-        # the exact test c^2 + v^2 <= 1 at the pixels beside it sets it right
-        edge = np.ceil((1.0 - radius) * (resolution / 2) - 0.5).astype(int)
-        end = np.floor((1.0 + radius) * (resolution / 2) - 0.5).astype(int) + 1
-        c = rim[np.concatenate([edge, edge + 1, end, end + 1], axis=1)]
-        inside = c * c + v * v <= 1.0  # pixels edge - 1, edge, end - 1, end
-        edge = edge - inside[:, :1] + ~inside[:, 1:2]
-        end = end + inside[:, 3:] - ~inside[:, 2:3]
-        bands, row = np.repeat(offset, count) + np.arange(count.sum()), np.arange(len(v))[:, None] * resolution
-        cuts = np.concatenate([bands, np.hstack([row, row + edge, row + end]).ravel(), [len(v) * resolution]])
+        bands = _ranges(np.nonzero(keep)[1] * resolution + first, count)
+        # and at each row start and disk edge.  Flat indices within a block
+        # fit in int32 (resolution^2 <= 2^28), which halves the sort
+        row = np.arange(len(vb), dtype=np.int32) * resolution
+        block_edge, block_end = row + edge[top : top + rows], row + end[top : top + rows]
+        cuts = np.concatenate([bands, row, block_edge, block_end, [len(vb) * resolution]], dtype=np.int32)
         cuts.sort()
-        # the block's end is the largest cut; the others, without repeats, are the run starts
+        # the block's end is the largest cut; the others, without repeats, are
+        # the run starts, and a row's disk pixels hold those from its edge to its end
         starts = cuts[:-1][cuts[1:] != cuts[:-1]]
-        iy, ix = np.divmod(starts, resolution)
+        row_start, disk_start, disk_end = np.searchsorted(starts, [row, block_edge, block_end])
+        in_disk = np.maximum(disk_end - disk_start, 0)
+        disk = _ranges(disk_start, in_disk)
+        rays = lift(centers[starts[disk] - np.repeat(row, in_disk)], np.repeat(vb[:, 0], in_disk))
         values = np.full(len(starts), EXTERIOR, dtype=np.int16)
-        disk = np.flatnonzero((ix >= edge[iy, 0]) & (ix < end[iy, 0]))
-        for at in np.split(disk, range(_BATCH_RAYS, len(disk), _BATCH_RAYS)):
-            # classify_batch gives boundary rays the index -1, which is BOUNDARY
-            values[at] = classify_batch(lift(centers[ix[at]], v[iy[at], 0]), system, tol)[1]
-        keep = np.append(True, values[1:] != values[:-1]) | (ix == 0)
-        runs.append((starts[keep] + top * resolution, values[keep]))
+        # classify_batch gives boundary rays the index -1, which is BOUNDARY
+        for at in range(0, len(disk), _BATCH_RAYS):
+            values[disk[at : at + _BATCH_RAYS]] = classify_batch(rays[at : at + _BATCH_RAYS], system, tol)[1]
+        keep = np.append(True, values[1:] != values[:-1])
+        keep[row_start] = True
+        runs.append((starts[keep] + np.int64(top * resolution), values[keep]))
     return AtlasGrid(resolution, tol, *map(np.concatenate, zip(*runs)))
 
 
@@ -209,6 +237,36 @@ def _render_ppm(grid: AtlasGrid) -> bytearray:
 _SVG_SAMPLES = 720
 
 
+def _polyline_points(coords: np.ndarray) -> list[str]:
+    """The ``x,y x,y ...`` text of each line of (lines, points, 2) coordinates.
+
+    Each number reads as ``repr(float(np.round(c, 5)))``.  It is written
+    into a slot of nine bytes, [sign, units, '.', five decimals, separator],
+    and a mask keeps the sign of negative numbers (-0.0 among them) and the
+    decimals up to the last nonzero one, at least one.  The values
+    +-k / 10^5 with 1 <= k <= 9 read ``ke-05`` instead.  Every |c| must be
+    below 10, so that the units are one digit.
+    """
+    rounded = np.round(coords, 5)
+    units, frac = np.divmod(np.rint(np.abs(rounded) * 1e5).astype(np.int64), 100_000)
+    digits = frac[..., None] // 10 ** np.arange(4, -1, -1) % 10
+    tiny = (units == 0) & (frac > 0) & (frac < 10)
+    slots = np.empty(frac.shape + (9,), dtype=np.uint8)
+    slots[..., 0] = ord("-")
+    slots[..., 1] = units + frac * tiny + ord("0")
+    slots[..., 2] = np.where(tiny, ord("e"), ord("."))
+    slots[..., 3:8] = digits + ord("0")
+    slots[tiny, 3:6] = np.frombuffer(b"-05", dtype=np.uint8)
+    # x ends in a comma, y in a space, and the last y of a line in a newline
+    slots[..., 8] = np.frombuffer(b", ", dtype=np.uint8)
+    slots[:, -1, 1, 8] = ord("\n")
+    keep = np.ones(slots.shape, dtype=bool)
+    keep[..., 0] = np.signbit(rounded)
+    keep[..., 4:8] = np.logical_or.accumulate(digits[..., :0:-1] > 0, axis=-1)[..., ::-1]
+    keep[tiny, 6:8] = False
+    return slots[keep].tobytes().decode("ascii").split("\n")[:-1]
+
+
 def _render_svg(system: PathSystem) -> str:
     named = canonical_states(system)
     parts = [
@@ -217,14 +275,13 @@ def _render_svg(system: PathSystem) -> str:
         '<rect x="-1.15" y="-1.15" width="2.3" height="2.3" fill="white"/>',
         '<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="0.006"/>',
     ]
-    for name in PATH_NAMES:
-        points = circle_points(system.ray(name), _SVG_SAMPLES)
-        # The projected circle is centrally symmetric, so skipping the
-        # hemisphere flip keeps the polyline continuous.
-        coords = np.round(np.stack([points[:, 1], -points[:, 2]], 1), 5).tolist()
+    points = np.stack([circle_points(system.ray(name), _SVG_SAMPLES) for name in PATH_NAMES])
+    # The projected circle is centrally symmetric, so skipping the
+    # hemisphere flip keeps the polyline continuous; SVG y points down.
+    texts = _polyline_points(np.stack([points[..., 1], -points[..., 2]], -1))
+    for name, text in zip(PATH_NAMES, texts):
         parts.append(
-            f'<polyline points="{" ".join(f"{x},{y}" for x, y in coords)}" fill="none" '
-            f'stroke="#666666" stroke-width="0.004">'
+            f'<polyline points="{text}" fill="none" stroke="#666666" stroke-width="0.004">'
             f"<title>P({name}) = 0</title></polyline>"
         )
     for name, state in named.items():

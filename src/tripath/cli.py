@@ -202,7 +202,9 @@ def _cmd_basis(args):
 def _cmd_atlas(args):
     system = interferometer.default_system()
     raster = args.format in ("raster", "both")
-    # sample before creating the directory, so bad input leaves none behind
+    # check the input before creating the directory, so bad input leaves none behind
+    atlas._checked_resolution(args.resolution)
+    classify._checked_tol(args.tol)
     grid = atlas.sample_atlas(args.resolution, args.tol, system) if raster else None
     outdir = Path(args.out or os.environ.get("TRIPATH_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)

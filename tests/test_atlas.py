@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 import tracemalloc
 import warnings
 from collections import deque
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 from tripath import atlas, classify, interferometer
 from tripath.classify import ClassLabel
 from tripath.errors import UnsupportedFormatError
-from tripath.hilbert import normalize
+from tripath.hilbert import circle_points, normalize
 
 from conftest import closing_system, pixel_center
 
 GOLDEN_PPM_64_SHA256 = "648ad8f54e87204648e9bcf4c4f58d9b28a36f57f347090609a43842114cd220"
+GOLDEN_SVG_SHA256 = "fc21efca7d8758d04d40fceb0b2dc6509dac98314236c6844fdfc284a70ffe21"
 
 
 @pytest.fixture(scope="module")
@@ -70,17 +72,21 @@ def every_pixel_labels(resolution, tol, system):
     "resolution, tol",
     [
         (16, 1e-9), (127, 1e-9), (255, 1e-9), (300, 1e-9), (1000, 1e-9), (2048, 1e-9),
-        (300, 0.0), (300, 1e-6), (300, 1e-3),
+        (300, 0.0), (300, 1e-6), (300, 1e-3), (64, float("inf")),
     ],
 )
 def test_row_blocks_match_one_batch_call(system, monkeypatch, resolution, tol):
-    # 1000 and 2048 put a block edge inside the disk at the module's block
-    # size; blocks of 7 rows put several there at every resolution
+    # 300, 1000 and 2048 put a block edge inside the disk at the module's
+    # budget.  A budget of 180 run starts gives blocks of a few rows (three
+    # where a row expects 60 run starts, as at the default tol from 60 pixels
+    # up, and one at tol 1e-3), so block edges fall inside the disk at every
+    # resolution; classify_batch calls of 7 rays put chunk edges inside rows
     want = every_pixel_labels(resolution, tol, system)
     got = atlas.sample_atlas(resolution, tol, system).labels
     assert got.dtype == np.int16
     assert np.array_equal(got, want)
-    monkeypatch.setattr(atlas, "_BLOCK_PIXELS", 7 * resolution)
+    monkeypatch.setattr(atlas, "_BLOCK_STARTS", 180)
+    monkeypatch.setattr(atlas, "_BATCH_RAYS", 7)
     assert np.array_equal(atlas.sample_atlas(resolution, tol, system).labels, want)
 
 
@@ -154,8 +160,9 @@ def traced_peak(call):
         pytest.param(512, classify.DEFAULT_TOL, 4, id="512"),
         pytest.param(2048, classify.DEFAULT_TOL, 4, id="2048"),
         pytest.param(4096, classify.DEFAULT_TOL, 4, id="4096"),
+        pytest.param(8192, classify.DEFAULT_TOL, 4, id="8192"),
         # nearly every pixel starts a run and goes through classify_batch
-        pytest.param(2048, 1e-3, 16, id="2048-tol1e-3"),
+        pytest.param(2048, 1e-3, 4, id="2048-tol1e-3"),
     ],
 )
 def test_sampler_memory_does_not_grow_with_resolution(system, resolution, tol, limit_mb):
@@ -237,6 +244,36 @@ def test_vector_output(system):
     assert svg.count("<polyline") == 10
     assert svg.count("<text") == 20
     assert "N_2" in svg and "theta_3" in svg
+
+
+def test_vector_golden():
+    svg = atlas.render(None, "vector")
+    assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_SVG_SHA256
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+def test_polylines_at_closing_specs(r1, rS1):
+    # reference: one float repr per rounded coordinate
+    system = closing_system(r1, rS1)
+    want = []
+    for name in interferometer.PATH_NAMES:
+        points = circle_points(system.ray(name), atlas._SVG_SAMPLES)
+        coords = np.round(np.stack([points[:, 1], -points[:, 2]], 1), 5).tolist()
+        want.append(" ".join(f"{x},{y}" for x, y in coords))
+    assert re.findall(r'<polyline points="([^"]*)"', atlas.render(None, "vector", system)) == want
+
+
+def test_point_writer_matches_repr_everywhere():
+    # every k / 10^5 with |k| <= 10^5, the ke-05 forms, and values that round
+    # to -0.0, to 1e-05 or 9e-05 and to +-1.0
+    extra = np.concatenate([np.arange(1, 10) * 1e-5, np.arange(-9, 0) * 1e-5])
+    extra = np.concatenate([extra, [-0.0, -4e-6, 4e-6, 1.4e-5, -8.7e-5, 0.999996, -0.999996]])
+    values = np.concatenate([np.arange(-100_000, 100_001) / 1e5, extra])
+    coords = np.stack([values, values[::-1]], 1)
+    (text,) = atlas._polyline_points(coords[None])
+    want = [f"{float(np.round(x, 5))!r},{float(np.round(y, 5))!r}" for x, y in coords]
+    assert text.split(" ") == want
 
 
 def test_render_format_errors(grid):

@@ -286,6 +286,19 @@ def test_atlas_bad_input_leaves_no_directory(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["raster", "vector", "both"])
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--resolution", "5"], "at least 16"), (["--tol", "-1"], "non-negative")],
+)
+def test_atlas_bad_input_fails_for_every_format(tmp_path, fmt, args, message):
+    out = tmp_path / "newdir"
+    proc = run_cli("atlas", "--format", fmt, *args, "--out", str(out))
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert not out.exists()
+
+
 def test_atlas_outdir_env(tmp_path):
     env = dict(os.environ)
     env["TRIPATH_OUTDIR"] = str(tmp_path / "fromenv")
