@@ -4,11 +4,12 @@ The c1 >= 0 hemisphere is mapped orthographically to the unit disk with
 chart coordinates (u, v) = (c2, c3).  Each pixel center inside the disk
 lifts to a ray and is painted with its sub-class color, or boundary
 marked where a KD value lies within tol of zero.  Labels only change
-where a pixel row crosses one of the ten zero circles P(path) = 0; the
-crossings' closed form gives each row's runs, only each run's first
-pixel is classified, and the atlas keeps the runs, so the PPM is the
-one buffer that grows with the resolution.  Raster output is binary
-PPM, vector output is SVG of the ten zero circles and the named states.
+where a pixel row crosses one of the ten zero circles P(path) = 0, and
+path 1's circle c1 = 0 is the rim of the disk.  The crossings' closed
+form gives each row's runs, only each run's first pixel is classified,
+and the atlas keeps the runs, so the PPM is the one buffer that grows
+with the resolution.  Raster output is binary PPM, vector output is SVG
+of the ten zero circles and the named states.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import InvalidInputError, UnsupportedFormatError
 from .hilbert import circle_points
 from .interferometer import PATH_NAMES, PathSystem, default_system, probabilities
 from .kd import KD_PAIRS, _pair_geometry, inequality_sum, kd_profile
-from .states import N_STATE_ORDER, THETA_ORDER, canonical_states, joint_basis
+from .states import canonical_states, joint_basis
 
 # Label index values below zero mark non-region pixels.
 BOUNDARY = -1
@@ -121,8 +122,9 @@ def sample_atlas(
 
     On each row the amplitudes' closed form gives each band |A_k| < eps,
     eps = 2 sqrt(tol / min|<a|b>|), as a pixel range.  Runs start at each
-    pixel in or next to a band, at the pixel after that window, at the
-    row start and at the disk edges; only the run starts in the disk go
+    pixel in or next to a band, at the pixel after that window and at the
+    row start.  Path 1's band ends at the disk's rim c1 = 0, so its
+    windows hold the disk edges; only the run starts in the disk go
     through classify_batch, and each run takes its first pixel's label.
     That is exact: along a run every |A_k| >= eps, so no amplitude
     changes sign and every |rho| >= min|<a|b>| eps^2 = 4 tol.  Equal
@@ -137,23 +139,12 @@ def sample_atlas(
         system = default_system()
     # On the row at height v, (c1, u) = R (cos t, sin t) with R^2 = 1 - v^2,
     # so A_k = R m_k cos(t - phi_k) + k3_k v.
-    k1, k2, k3 = system.matrix().T
+    k1, k2, k3 = system.vectors.T
     m, phi = np.hypot(k1, k2), np.arctan2(k2, k1)
     eps = 2.0 * np.sqrt(_checked_tol(tol) / np.abs(_pair_geometry(system)[2]).min())
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
-    # Row y lies at height v[y] (row 0 at v = +1) and holds the disk pixels
-    # [edge[y], end[y]).  The closed-form guess is off by at most one pixel;
-    # the exact test c^2 + v^2 <= 1 at the pixels beside it sets it right.
-    v = -centers
+    v = -centers  # row y lies at height v[y], row 0 at v = +1
     radius = np.sqrt(1.0 - v * v)
-    edge = np.ceil((1.0 - radius) * (resolution / 2) - 0.5).astype(np.int32)
-    end = np.floor((1.0 + radius) * (resolution / 2) - 0.5).astype(np.int32) + 1
-    # pixel x of a row sits at rim[x + 1]; pads put x = -1 and resolution off the disk
-    rim = np.concatenate([[np.inf], centers, [np.inf]])
-    c = rim[np.stack([edge, edge + 1, end, end + 1])]
-    inside = c * c + v * v <= 1.0  # pixels edge - 1, edge, end - 1, end
-    edge = edge - inside[0] + ~inside[1]
-    end = end + inside[3] - ~inside[2]
     sign = np.array([1.0, -1.0])[:, None, None]
     runs = []
     # past eps = 1 the windows fill every row, and an infinite tol has no int
@@ -177,25 +168,26 @@ def sample_atlas(
         first = np.maximum(np.ceil(x_lo) - 1, 0).astype(int)
         count = np.minimum(np.floor(x_hi) + 2, resolution - 1).astype(int) - first + 1
         bands = _ranges(np.nonzero(keep)[1] * resolution + first, count)
-        # and at each row start and disk edge.  Flat indices within a block
-        # fit in int32 (resolution^2 <= 2^28), which halves the sort
-        row = np.arange(len(vb), dtype=np.int32) * resolution
-        block_edge, block_end = row + edge[top : top + rows], row + end[top : top + rows]
-        cuts = np.concatenate([bands, row, block_edge, block_end, [len(vb) * resolution]], dtype=np.int32)
+        # and at each row start.  Path 1's band (A_1 = R cos t) ends at the rim
+        # t = +-pi/2, x = (1 -+ R) resolution / 2 - 0.5, so its windows hold the
+        # disk edges.  Flat indices in a block fit in int32, which halves the sort
+        cuts = np.concatenate([bands, np.arange(0, len(vb) * resolution + 1, resolution)], dtype=np.int32)
         cuts.sort()
-        # the block's end is the largest cut; the others, without repeats, are
-        # the run starts, and a row's disk pixels hold those from its edge to its end
+        # the block's end is the largest cut; the others, without repeats, are the run starts
         starts = cuts[:-1][cuts[1:] != cuts[:-1]]
-        row_start, disk_start, disk_end = np.searchsorted(starts, [row, block_edge, block_end])
-        in_disk = np.maximum(disk_end - disk_start, 0)
-        disk = _ranges(disk_start, in_disk)
-        rays = lift(centers[starts[disk] - np.repeat(row, in_disk)], np.repeat(vb[:, 0], in_disk))
+        y = starts // resolution
+        x = starts - y * resolution
+        # a pixel lies in the disk when its center has c^2 + v^2 <= 1
+        c, h = centers.take(x), vb.take(y)
+        inside = c * c + h * h <= 1.0
+        disk, rays = np.flatnonzero(inside), lift(c[inside], h[inside])
         values = np.full(len(starts), EXTERIOR, dtype=np.int16)
         # classify_batch gives boundary rays the index -1, which is BOUNDARY
         for at in range(0, len(disk), _BATCH_RAYS):
             values[disk[at : at + _BATCH_RAYS]] = classify_batch(rays[at : at + _BATCH_RAYS], system, tol)[1]
-        keep = np.append(True, values[1:] != values[:-1])
-        keep[row_start] = True
+        # equal neighbours merge, and every row start stays
+        keep = x == 0
+        keep[1:] |= values[1:] != values[:-1]
         runs.append((starts[keep] + np.int64(top * resolution), values[keep]))
     return AtlasGrid(resolution, tol, *map(np.concatenate, zip(*runs)))
 
@@ -313,10 +305,7 @@ def export_canonical_tables(system: PathSystem | None = None) -> dict[str, str]:
     """
     if system is None:
         system = default_system()
-    named = canonical_states(system)
-    order = list(PATH_NAMES) + list(N_STATE_ORDER) + list(THETA_ORDER)
-    rows = [(name, named[name].ray) for name in order]
-    rows += [(b.name, b.ray) for b in joint_basis(system)]
+    rows = [(s.name, s.ray) for s in (*canonical_states(system).values(), *joint_basis(system))]
 
     prob_rows = []
     kd_rows = []

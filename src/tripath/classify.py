@@ -122,7 +122,7 @@ def _cell_codes(values: np.ndarray) -> np.ndarray:
 
 def _arrangement_cells(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centroids, amplitude signs and KD values of the cells, in ALL_LABELS order."""
-    paths = system.matrix()
+    paths = system.vectors
     ia, ib = np.triu_indices(len(paths), 1)
     vertices = np.cross(paths[ia], paths[ib])
     vertices /= np.linalg.norm(vertices, axis=1, keepdims=True)

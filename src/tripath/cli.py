@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, atlas, classify, interferometer, kd, states
+from . import __version__, atlas, classify, interferometer, kd, states, verify
 from .errors import TripathError
 from .hilbert import RayState, inner, normalize
 
@@ -226,9 +226,7 @@ def _cmd_atlas(args):
 
 
 def _cmd_verify(args):
-    from . import verify as verify_mod
-
-    results = verify_mod.run_checks()
+    results = verify.run_checks()
     failed = sum(not r.ok for r in results)
     doc = {
         "checks": [

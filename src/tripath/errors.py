@@ -26,7 +26,7 @@ class DegeneratePairError(TripathError, ValueError):
 
 
 class InvalidReflectivityError(TripathError, ValueError):
-    """Raised for beam splitter reflectivities outside the open interval (0, 1)."""
+    """Raised for beam splitter reflectivities that are not real numbers in the open interval (0, 1)."""
 
 
 class UnknownPathError(TripathError, KeyError):

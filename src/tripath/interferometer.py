@@ -9,6 +9,7 @@ contexts of three mutually orthogonal paths each.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -76,9 +77,9 @@ class InterferometerSpec:
 
     def __post_init__(self) -> None:
         for name, r in vars(self).items():
-            if not 0.0 < r < 1.0:
+            if not isinstance(r, numbers.Real) or not 0.0 < r < 1.0:
                 raise InvalidReflectivityError(
-                    f"reflectivity {name}={r!r} outside the open interval (0, 1)"
+                    f"reflectivity {name}={r!r} is not a real number in the open interval (0, 1)"
                 )
 
 
@@ -100,10 +101,6 @@ class PathSystem:
         if name not in PATH_NAMES:
             raise UnknownPathError(f"unknown path {name!r}")
         return RayState(*self.vectors[PATH_NAMES.index(name)])
-
-    def matrix(self) -> np.ndarray:
-        """Rows of path vectors in PATH_NAMES order, read-only."""
-        return self.vectors
 
 
 def _splitter(outer: np.ndarray, mid: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +147,7 @@ def _amplitudes(vectors: np.ndarray, system: PathSystem | None = None) -> np.nda
     Raises InvalidInputError for an array not of shape (n, 3) and
     NonFiniteError naming the rows that hold a NaN or infinity.
     """
-    paths = (default_system() if system is None else system).matrix()
+    paths = (default_system() if system is None else system).vectors
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[1] != 3:
         raise InvalidInputError(f"expected an (n, 3) array, got shape {vectors.shape}")

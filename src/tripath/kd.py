@@ -14,6 +14,7 @@ each occur in exactly one non-contextual photon trajectory, and five
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,7 +84,7 @@ class KDProfile:
 @lru_cache(maxsize=4)
 def _pair_geometry(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair index arrays and the ten overlaps <a|b>, in KD_PAIRS order."""
-    paths = system.matrix()
+    paths = system.vectors
     ia = np.array([PATH_NAMES.index(p.a) for p in KD_PAIRS])
     ib = np.array([PATH_NAMES.index(p.b) for p in KD_PAIRS])
     overlaps = np.array([float(paths[a] @ paths[b]) for a, b in zip(ia, ib)])
@@ -199,9 +200,11 @@ def extremal_kd_on_circle(
 
     The extrema of rho(a, b) over the whole sphere lie on this circle, at
     a mutually orthogonal pair of rays, so a dense scan brackets both.
+    ``n`` must be an integer of at least 4; anything else raises
+    InvalidInputError.
     """
-    if n < 4:
-        raise InvalidInputError("need at least 4 scan samples")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 4:
+        raise InvalidInputError(f"scan sample count must be an integer of at least 4, got {n!r}")
     if system is None:
         system = default_system()
     va = system.ray(a).vector

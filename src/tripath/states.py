@@ -143,8 +143,8 @@ def _path_definition(name: str) -> tuple[str, str]:
 def _canonical_states_cached(system: PathSystem) -> tuple[NamedState, ...]:
     return (
         *(NamedState(n, system.ray(n), _path_definition(n)) for n in PATH_NAMES),
-        *(n_state(i, system) for i in ("f", "1", "S2", "S1", "2")),
-        *(theta_state(k, system) for k in ("3", "D1", "P1", "P2", "D2")),
+        *(n_state(name.removeprefix("N_"), system) for name in N_STATE_ORDER),
+        *(theta_state(name.removeprefix("theta_"), system) for name in THETA_ORDER),
     )
 
 

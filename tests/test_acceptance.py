@@ -81,7 +81,7 @@ def test_criterion_04_kd_identity_suite(system):
     rng = np.random.default_rng(11)
     vectors = random_unit_vectors(rng, 10_000)
     values = kd.profile_values_batch(vectors, system)
-    paths = system.matrix()
+    paths = system.vectors
     name_col = {n: i for i, n in enumerate(itf.PATH_NAMES)}
     pair_col = {frozenset((p.a, p.b)): j for j, p in enumerate(kd.KD_PAIRS)}
     probs = (vectors @ paths.T) ** 2

@@ -68,14 +68,23 @@ def every_pixel_labels(resolution, tol, system):
     return want
 
 
+# (resolution, tol, closing spec or None for the canonical one); from 16 to
+# 48 the top and bottom rows hold 5 to 10 disk pixels, so a rim row's two
+# disk edges lie a few pixels apart
+ROW_BLOCK_CASES = [
+    (16, 1e-9, None), (127, 1e-9, None), (255, 1e-9, None), (300, 1e-9, None), (1000, 1e-9, None),
+    (2048, 1e-9, None), (300, 0.0, None), (300, 1e-6, None), (300, 1e-3, None), (64, float("inf"), None),
+] + [(res, tol, spec) for spec in (None, (0.2, 0.7)) for res in range(16, 49) for tol in (0.0, float("inf"))]
+
+
 @pytest.mark.parametrize(
-    "resolution, tol",
-    [
-        (16, 1e-9), (127, 1e-9), (255, 1e-9), (300, 1e-9), (1000, 1e-9), (2048, 1e-9),
-        (300, 0.0), (300, 1e-6), (300, 1e-3), (64, float("inf")),
-    ],
+    "resolution, tol, spec",
+    ROW_BLOCK_CASES,
+    ids=[f"{res}-{tol}" + (f"-closing-{spec[0]}-{spec[1]}" if spec else "") for res, tol, spec in ROW_BLOCK_CASES],
 )
-def test_row_blocks_match_one_batch_call(system, monkeypatch, resolution, tol):
+def test_row_blocks_match_one_batch_call(system, monkeypatch, resolution, tol, spec):
+    if spec:
+        system = closing_system(*spec)
     # 300, 1000 and 2048 put a block edge inside the disk at the module's
     # budget.  A budget of 180 run starts gives blocks of a few rows (three
     # where a row expects 60 run starts, as at the default tol from 60 pixels
@@ -115,8 +124,8 @@ def test_scanline_matches_every_pixel(resolution, tol):
 
 
 def test_only_run_starts_are_classified(system, monkeypatch):
-    # a run start is a window pixel, the pixel after a window, a row start
-    # or a disk edge; at 2048 the disk holds 3 294 288 pixels
+    # a run start is a window pixel, the pixel after a window or a row start;
+    # path 1's windows hold the disk edges.  At 2048 the disk holds 3 294 288 pixels
     rays = []
 
     def counting(vectors, *args):

@@ -56,6 +56,9 @@ def test_reflectivity_validation():
             itf.InterferometerSpec(r1=bad)
         with pytest.raises(InvalidReflectivityError):
             itf.InterferometerSpec(rS2=bad)
+    for bad in ("0.5", None, [0.5]):
+        with pytest.raises(InvalidReflectivityError, match="not a real number"):
+            itf.InterferometerSpec(r1=bad)
 
 
 def test_contexts_are_orthonormal_triples(system):
@@ -119,7 +122,7 @@ def test_probabilities_of_basis_state(system):
 
 
 def test_matrix_rows(system):
-    m = system.matrix()
+    m = system.vectors
     assert m.shape == (10, 3)
     for row, name in zip(m, itf.PATH_NAMES):
         assert np.array_equal(row, system.ray(name).vector)

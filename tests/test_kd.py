@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripath import kd
-from tripath.errors import DegeneratePairError, NonFiniteError, UnknownPathError
+from tripath.errors import DegeneratePairError, InvalidInputError, NonFiniteError, UnknownPathError
 from tripath.hilbert import RayState, inner, normalize, same_ray
 from tripath.interferometer import INNER_PATHS, OUTER_PATHS, probabilities
 from tripath.states import joint_basis
@@ -250,6 +250,9 @@ def test_scan_rejects_degenerate_pairs(system):
         kd.extremal_kd_on_circle("1", "3", 1000, system)
     with pytest.raises(ValueError):
         kd.extremal_kd_on_circle("1", "f", 2, system)
+    for bad in (4.5, "100", None, True):
+        with pytest.raises(InvalidInputError, match="must be an integer of at least 4"):
+            kd.extremal_kd_on_circle("S1", "S2", bad, system)
 
 
 unit_vec = st.lists(
