@@ -25,6 +25,7 @@ from .classify import (
     ALL_LABELS,
     DEFAULT_TOL,
     ClassLabel,
+    _band_radius,
     _checked_tol,
     classify,
     classify_batch,
@@ -32,7 +33,7 @@ from .classify import (
 from .errors import InvalidInputError, UnsupportedFormatError
 from .hilbert import circle_points
 from .interferometer import PATH_NAMES, PathSystem, default_system, probabilities
-from .kd import KD_PAIRS, _pair_geometry, inequality_sum, kd_profile
+from .kd import KD_PAIRS, inequality_sum, kd_profile
 from .states import canonical_states, joint_basis
 
 # Label index values below zero mark non-region pixels.
@@ -121,12 +122,12 @@ def sample_atlas(
     """Classify every pixel of a resolution x resolution chart.
 
     On each row the amplitudes' closed form gives each band |A_k| < eps,
-    eps = 2 sqrt(tol / min|<a|b>|), as a pixel range.  Runs start at each
-    pixel in or next to a band, at the pixel after that window and at the
-    row start.  Path 1's band ends at the disk's rim c1 = 0, so its
-    windows hold the disk edges; only the run starts in the disk go
-    through classify_batch, and each run takes its first pixel's label.
-    That is exact: along a run every |A_k| >= eps, so no amplitude
+    twice classify's band radius sqrt(tol / min|<a|b>|), as a pixel range.
+    Runs start at each pixel in or next to a band, at the pixel after that
+    window and at the row start.  Path 1's band ends at the disk's rim
+    c1 = 0, so its windows hold the disk edges; only the run starts in the
+    disk go through classify_batch, and each run takes its first pixel's
+    label.  That is exact: along a run every |A_k| >= eps, so no amplitude
     changes sign and every |rho| >= min|<a|b>| eps^2 = 4 tol.  Equal
     neighbours in a row merge.  Rows go in blocks of about _BLOCK_STARTS
     expected run starts, and classify_batch takes _BATCH_RAYS of them at
@@ -141,7 +142,7 @@ def sample_atlas(
     # so A_k = R m_k cos(t - phi_k) + k3_k v.
     k1, k2, k3 = system.vectors.T
     m, phi = np.hypot(k1, k2), np.arctan2(k2, k1)
-    eps = 2.0 * np.sqrt(_checked_tol(tol) / np.abs(_pair_geometry(system)[2]).min())
+    eps = 2.0 * _band_radius(system, _checked_tol(tol))
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
     v = -centers  # row y lies at height v[y], row 0 at v = +1
     radius = np.sqrt(1.0 - v * v)

@@ -36,13 +36,14 @@ spanning tree of that graph, already do: their signs give a 9-bit cell
 code, 512 codes of which 31 are sub-classes.  The tenth pair closes the
 cycle; its sign follows from the others.
 
-A ray with amplitudes within tol of zero lies on those circles.  It is
-given every sub-class whose cell agrees with its other amplitude signs:
-exactly the sub-classes that touch it.
+A boundary ray, some KD value within tol of zero, has an amplitude within
+the band radius r = sqrt(tol / min|<a|b>|) of zero.  Those amplitudes are
+left free: it gets every sub-class whose cell agrees with its other signs.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import InvalidInputError, TableInconsistencyError, UnknownPatternError
 from .hilbert import RayState
 from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, default_system
-from .kd import KDProfile, _kd_kernel, profile_values_batch
+from .kd import KDProfile, _kd_kernel, _pair_geometry, profile_values_batch
 
 DEFAULT_TOL = 1e-9
 
@@ -205,6 +206,11 @@ def _checked_tol(tol: float) -> float:
     return max(tol, TOL_FLOOR)
 
 
+def _band_radius(system: PathSystem, tol: float) -> float:
+    """r = sqrt(tol / min|<a|b>|): where every |A_k| > r, every |rho| > tol; inf past the float range."""
+    return math.sqrt(float(tol) / float(np.abs(_pair_geometry(system)[2]).min()))
+
+
 @dataclass(frozen=True)
 class ClassificationResult:
     """KD sign pattern of a state and every sub-class whose cell holds or touches it.
@@ -229,11 +235,12 @@ def classify(
 ) -> ClassificationResult:
     """Classify a ray by the signs of its path amplitudes.
 
-    Amplitudes within ``tol`` of zero are left free; every sub-class
-    whose cell agrees with the other signs, up to a global flip, is
-    collected.  An interior ray matches exactly one cell, a boundary ray
-    exactly the cells that touch it.  A ``tol`` below TOL_FLOOR counts
-    as TOL_FLOOR; a negative or NaN ``tol`` raises InvalidInputError.
+    Every sub-class whose cell agrees with the fixed amplitude signs, up
+    to a global flip, is collected.  An interior ray fixes every sign and
+    gets classify_batch's one label; a boundary ray, some KD value within
+    ``tol`` of zero, frees the amplitudes within the band radius and gets
+    every cell touching that band.  A ``tol`` below TOL_FLOOR counts as
+    TOL_FLOOR; a negative or NaN ``tol`` raises InvalidInputError.
     """
     if system is None:
         system = default_system()
@@ -242,7 +249,7 @@ def classify(
     amps, values = _kd_kernel(psi.vector[None, :], system)
     amps = amps[:, 0]
     pattern = sign_pattern(KDProfile(state=psi, values=tuple(values[:, 0].tolist())), tol)
-    fixed = np.abs(amps) > tol
+    fixed = np.abs(amps) > (_band_radius(system, tol) if 0 in pattern else tol)
     agree = np.abs(table.cell_signs[:, fixed] @ np.sign(amps[fixed])) == fixed.sum()
     found = frozenset(label for label, ok in zip(table.labels, agree) if ok)
     if not found:

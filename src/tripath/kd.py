@@ -216,14 +216,21 @@ def extremal_kd_on_circle(
         )
     e2 = vb - g * va
     e2 /= np.linalg.norm(e2)
-    angles = np.pi * np.arange(n) / n  # half turn covers every ray once
-    cos, sin = np.cos(angles), np.sin(angles)
-    rho = g * (cos * (va @ va) + sin * (e2 @ va)) * (cos * g + sin * (e2 @ vb))
-    hi, lo = int(np.argmax(rho)), int(np.argmin(rho))
+    # 4096 angles at a time bound the memory; strict comparisons keep the first extrema
+    hi = lo = None
+    for start in range(0, n, 4096):
+        angles = np.pi * np.arange(start, min(start + 4096, n)) / n  # half turn covers every ray once
+        cos, sin = np.cos(angles), np.sin(angles)
+        rho = g * (cos * (va @ va) + sin * (e2 @ va)) * (cos * g + sin * (e2 @ vb))
+        k, j = np.argmax(rho), np.argmin(rho)
+        if hi is None or rho[k] > hi[0]:
+            hi = rho[k], cos[k] * va + sin[k] * e2
+        if lo is None or rho[j] < lo[0]:
+            lo = rho[j], cos[j] * va + sin[j] * e2
     return ExtremalScan(
         pair=(a, b),
-        max_state=normalize(cos[hi] * va + sin[hi] * e2),
-        max_value=float(rho[hi]),
-        min_state=normalize(cos[lo] * va + sin[lo] * e2),
-        min_value=float(rho[lo]),
+        max_state=normalize(hi[1]),
+        max_value=float(hi[0]),
+        min_state=normalize(lo[1]),
+        min_value=float(lo[0]),
     )

@@ -142,9 +142,10 @@ def _decompose(s: PathSystem, r: Rays):
 
 
 def _decompose_outer(s: PathSystem, r: Rays):
-    rng = np.random.default_rng(7)
+    # 50 states of a Fibonacci sphere: heights 1 - (2k + 1)/50, golden angle steps
     for k in range(50):
-        psi = hilbert.normalize(rng.normal(size=3))
+        z, t = 1 - (2 * k + 1) / 50, math.pi * (3 - math.sqrt(5)) * k
+        psi = hilbert.normalize([math.sqrt(1 - z * z) * math.cos(t), math.sqrt(1 - z * z) * math.sin(t), z])
         for i in interferometer.OUTER_PATHS:
             total = sum(v for _, v in kd.decompose_outer(psi, i, s))
             yield f"state {k}: P({i}) from KD terms", total, interferometer.probabilities(psi, s)[i], 1e-10

@@ -33,6 +33,50 @@ nonzero_vec = st.one_of(
 ).filter(lambda v: any(v))
 
 
+def _plane(n):
+    """Two unit vectors orthogonal to the unit vector n and to each other."""
+    e1 = np.cross(n, np.eye(3)[np.argmin(np.abs(n))])
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(n, e1)
+
+
+def near_circle(path, angle, offset):
+    """The point of path's zero circle at ``angle``, moved ``offset`` along the path (not normalized)."""
+    e1, e2 = _plane(path)
+    return np.cos(angle) * e1 + np.sin(angle) * e2 + offset * path
+
+
+def near_vertex(vertex, angle, offset):
+    """``vertex`` moved ``offset`` in the direction ``angle`` of its tangent plane (not normalized)."""
+    e1, e2 = _plane(vertex)
+    return vertex + offset * (np.cos(angle) * e1 + np.sin(angle) * e2)
+
+
+def vertex_rays(system):
+    """The 20 vertex rays, where two or more zero circles cross: cross products of path pairs."""
+    ia, ib = np.triu_indices(len(system.vectors), 1)
+    found = []
+    for w in np.cross(system.vectors[ia], system.vectors[ib]):
+        w = w / np.linalg.norm(w)
+        if all(min(np.abs(w - x).max(), np.abs(w + x).max()) > 1e-9 for x in found):
+            found.append(w)
+    return np.array(found)
+
+
+_PATHS = interferometer.default_system().vectors
+_VERTICES = vertex_rays(interferometer.default_system())
+_angles = st.floats(0.0, 2 * np.pi)
+_offsets = st.builds(lambda e, s: s * 10.0**e, st.floats(-12.0, -6.0), st.sampled_from((1.0, -1.0)))
+
+# Rays 1e-12 to 1e-6 off one of the ten zero circles, or off one of the
+# 20 vertices where they cross: the band where KD values fall below tol
+# while the amplitudes stay off zero.
+near_boundary_vec = st.one_of(
+    st.builds(lambda k, t, d: tuple(near_circle(_PATHS[k], t, d).tolist()), st.integers(0, 9), _angles, _offsets),
+    st.builds(lambda k, t, d: tuple(near_vertex(_VERTICES[k], t, d).tolist()), st.integers(0, 19), _angles, _offsets),
+)
+
+
 def closing_system(r1, rS1):
     """Cascade of the closing family: C5 is orthonormal for any (r1, rS1)."""
     rS2 = (1 - r1) * (1 - rS1)

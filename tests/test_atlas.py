@@ -192,6 +192,9 @@ def test_sampling_raises_no_numpy_warnings(system):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         atlas.sample_atlas(127, system=system)
+        # past the float range the band radius is inf, not an overflow
+        atlas.sample_atlas(16, tol=1e308, system=system)
+        assert len(classify.classify(system.ray("3"), system, tol=1e308).labels) == 31
 
 
 def test_center_pixel_is_path_1(system):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripath import classify, hilbert, interferometer, kd, states
 from tripath.classify import ClassLabel
@@ -11,7 +12,15 @@ from tripath.errors import NonFiniteError, TableInconsistencyError
 from tripath.hilbert import inner, normalize
 from tripath.interferometer import PATH_NAMES
 
-from conftest import closing_system, nonzero_vec, random_unit_vectors
+from conftest import (
+    closing_system,
+    near_boundary_vec,
+    near_circle,
+    near_vertex,
+    nonzero_vec,
+    random_unit_vectors,
+    vertex_rays,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "subclass_table.json"
 
@@ -233,7 +242,7 @@ def test_batch_names_non_finite_rows(system):
 
 
 @settings(max_examples=150, deadline=None)
-@given(nonzero_vec)
+@given(st.one_of(nonzero_vec, near_boundary_vec))
 def test_single_and_batch_classifiers_agree_under_sign_flip(v):
     psi = normalize(v)
     results = [classify.classify(ray) for ray in (psi, psi.flipped())]
@@ -242,12 +251,43 @@ def test_single_and_batch_classifiers_agree_under_sign_flip(v):
     assert results[0].labels == results[1].labels
     assert boundary[0] == boundary[1] and idx[0] == idx[1]
     assert results[0].is_boundary == bool(boundary[0])
-    if not boundary[0]:
+    if boundary[0]:
+        assert len(results[0].labels) >= 2
+    else:
         assert results[0].labels == {classify.ALL_LABELS[idx[0]]}
 
 
+def test_band_rule_near_vertices_and_circles(system):
+    rng = np.random.default_rng(22)
+    # 1e-9 to 1e-5 off a vertex, inside the default band radius 5e-5: a
+    # boundary ray carries exactly the vertex's labels, a strict one its cell's
+    for w in vertex_rays(system):
+        want = classify.classify(normalize(w), system).labels
+        for t, d in zip(rng.uniform(0, 2 * np.pi, 40), 10.0 ** rng.uniform(-9, -5, 40)):
+            result = classify.classify(normalize(near_vertex(w, t, d)), system)
+            assert result.labels == want if result.is_boundary else result.labels < want
+    # 1e-12 to 1e-1 off a circle: a strict ray gets the batch label, a
+    # boundary ray at least two labels, among them its own cell at tol 0
+    for s in (system, closing_system(0.4, 0.3)):
+        rays = np.array([
+            near_circle(path, t, d)
+            for path in s.vectors
+            for t, d in zip(rng.uniform(0, 2 * np.pi, 25), rng.choice((1, -1), 25) * 10.0 ** rng.uniform(-12, -1, 25))
+        ])
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        exact, cell = classify.classify_batch(rays, s, tol=0.0)
+        for tol in (0.0, 1e-6, 1e-3):
+            boundary, idx = classify.classify_batch(rays, s, tol)
+            for k, v in enumerate(rays):
+                labels = classify.classify(normalize(v), s, tol).labels
+                if boundary[k]:
+                    assert len(labels) >= 2 and (exact[k] or classify.ALL_LABELS[cell[k]] in labels)
+                else:
+                    assert labels == {classify.ALL_LABELS[idx[k]]}
+
+
 @settings(max_examples=150, deadline=None)
-@given(nonzero_vec)
+@given(st.one_of(nonzero_vec, near_boundary_vec))
 def test_mirror_symmetry_of_classification(v):
     # the 1<->2 swap maps every label set onto its mirror image, boundary sets included
     a = classify.classify(normalize(v))

@@ -145,6 +145,13 @@ def test_classify_fraction_amplitudes():
     assert doc["labels"] == ["B(1,S2)", "N", "V(1)", "V(S2)"]
 
 
+def test_classify_ray_in_the_band_lists_both_sides():
+    # 2e-9 off circle f: rho(1,f) and rho(f,3) fall within the default tol
+    proc = run_cli("classify", "--amplitudes", "0.30304576452036375,0.5050762734308059,0.8081220344870681", "--json")
+    doc = json.loads(proc.stdout)
+    assert doc["boundary"] and doc["labels"] == ["B(S1,S2)", "T(S1,S2)"]
+
+
 def test_inequality_state():
     proc = run_cli("inequality", "--state", "N_1", "--json")
     doc = json.loads(proc.stdout)
