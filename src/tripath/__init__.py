@@ -6,6 +6,8 @@ path contexts, and sorts every ray of the real three dimensional state
 space into one of 31 sub-classes by the sign pattern of those values.
 """
 
+from types import ModuleType as _Module
+
 from .atlas import AtlasGrid, export_canonical_tables, render, sample_atlas
 # the classify function itself stays at tripath.classify.classify so the
 # submodule name keeps working as an attribute of the package
@@ -58,56 +60,5 @@ from .verify import run_checks
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtlasGrid",
-    "CONTEXTS",
-    "ClassLabel",
-    "ClassificationResult",
-    "DegeneratePairError",
-    "INNER_PATHS",
-    "InterferometerSpec",
-    "InvalidInputError",
-    "InvalidReflectivityError",
-    "KDPair",
-    "KDProfile",
-    "NonFiniteError",
-    "OUTER_PATHS",
-    "PATH_NAMES",
-    "PathSystem",
-    "RayState",
-    "SubclassTable",
-    "TableInconsistencyError",
-    "TripathError",
-    "UnknownPathError",
-    "UnknownPatternError",
-    "UnsupportedFormatError",
-    "ZeroVectorError",
-    "build",
-    "build_subclass_table",
-    "canonical_states",
-    "classify_batch",
-    "decompose_in_basis",
-    "decompose_outer",
-    "default_system",
-    "export_canonical_tables",
-    "extremal_kd_on_circle",
-    "inequality_sum",
-    "inner",
-    "joint_basis",
-    "kd_negative_bound",
-    "kd_profile",
-    "max_violation",
-    "mirror_label",
-    "n_state",
-    "normalize",
-    "orthogonal_to_pair",
-    "probabilities",
-    "render",
-    "resolve_state",
-    "run_checks",
-    "same_ray",
-    "sample_atlas",
-    "sign_pattern",
-    "theta_state",
-    "verify_closure",
-]
+# every public name bound above, submodules aside
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _Module))

@@ -76,7 +76,7 @@ class AtlasGrid:
     """
 
     resolution: int
-    tol: float
+    tol: float  # the tol sampled at, after the raise to TOL_FLOOR
     starts: np.ndarray  # int64, strictly increasing from 0
     values: np.ndarray  # int16
 
@@ -142,7 +142,8 @@ def sample_atlas(
     # so A_k = R m_k cos(t - phi_k) + k3_k v.
     k1, k2, k3 = system.vectors.T
     m, phi = np.hypot(k1, k2), np.arctan2(k2, k1)
-    eps = 2.0 * _band_radius(system, _checked_tol(tol))
+    tol = _checked_tol(tol)
+    eps = 2.0 * _band_radius(system, tol)
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
     v = -centers  # row y lies at height v[y], row 0 at v = +1
     radius = np.sqrt(1.0 - v * v)
@@ -304,8 +305,6 @@ def export_canonical_tables(system: PathSystem | None = None) -> dict[str, str]:
     Returns documents keyed ``probabilities``, ``kd_values``,
     ``inequality`` and ``labels``.
     """
-    if system is None:
-        system = default_system()
     rows = [(s.name, s.ray) for s in (*canonical_states(system).values(), *joint_basis(system))]
 
     prob_rows = []

@@ -91,10 +91,16 @@ SignPattern = tuple[int, ...]
 
 
 def sign_pattern(profile: KDProfile, tol: float = DEFAULT_TOL) -> SignPattern:
-    """Ten trits in profile order: -1, 0 or +1 per quasi-probability."""
-    return tuple(
-        0 if abs(v) <= tol else (1 if v > 0 else -1) for v in profile.values
-    )
+    """Ten trits in profile order: -1, 0 or +1 per quasi-probability.
+
+    A ``tol`` below TOL_FLOOR counts as TOL_FLOOR; a negative or NaN
+    ``tol`` raises InvalidInputError.
+    """
+    return _signs(profile.values, _checked_tol(tol))
+
+
+def _signs(values: list[float] | tuple[float, ...], tol: float) -> SignPattern:
+    return tuple(0 if abs(v) <= tol else (1 if v > 0 else -1) for v in values)
 
 
 def pattern_string(pattern: SignPattern) -> str:
@@ -248,7 +254,7 @@ def classify(
     table = build_subclass_table(system)
     amps, values = _kd_kernel(psi.vector[None, :], system)
     amps = amps[:, 0]
-    pattern = sign_pattern(KDProfile(state=psi, values=tuple(values[:, 0].tolist())), tol)
+    pattern = _signs(values[:, 0].tolist(), tol)
     fixed = np.abs(amps) > (_band_radius(system, tol) if 0 in pattern else tol)
     agree = np.abs(table.cell_signs[:, fixed] @ np.sign(amps[fixed])) == fixed.sum()
     found = frozenset(label for label, ok in zip(table.labels, agree) if ok)
@@ -273,8 +279,6 @@ def classify_batch(
     InvalidInputError.  Raises NonFiniteError or UnknownPatternError
     naming the offending rows.
     """
-    if system is None:
-        system = default_system()
     tol = _checked_tol(tol)
     table = build_subclass_table(system)
     values = profile_values_batch(vectors, system).T  # paths-major (10, n), contiguous

@@ -200,12 +200,11 @@ def _cmd_basis(args):
 
 
 def _cmd_atlas(args):
-    system = interferometer.default_system()
     raster = args.format in ("raster", "both")
     # check the input before creating the directory, so bad input leaves none behind
     atlas._checked_resolution(args.resolution)
     classify._checked_tol(args.tol)
-    grid = atlas.sample_atlas(args.resolution, args.tol, system) if raster else None
+    grid = atlas.sample_atlas(args.resolution, args.tol) if raster else None
     outdir = Path(args.out or os.environ.get("TRIPATH_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -215,10 +214,10 @@ def _cmd_atlas(args):
         written.append(path)
     if args.format in ("vector", "both"):
         path = outdir / "atlas.svg"
-        path.write_text(atlas.render(None, "vector", system))
+        path.write_text(atlas.render(None, "vector"))
         written.append(path)
     if args.tables:
-        for key, text in atlas.export_canonical_tables(system).items():
+        for key, text in atlas.export_canonical_tables().items():
             path = outdir / f"{key}.csv"
             path.write_text(text, newline="")
             written.append(path)

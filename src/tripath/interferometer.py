@@ -41,17 +41,6 @@ class Context:
     name: str
     members: tuple[str, str, str]
 
-    @property
-    def inner_path(self) -> str:
-        for m in self.members:
-            if m in INNER_PATHS:
-                return m
-        raise AssertionError(f"context {self.name} has no inner path")
-
-    @property
-    def outer_paths(self) -> tuple[str, str]:
-        return tuple(m for m in self.members if m in OUTER_PATHS)  # type: ignore[return-value]
-
 
 CONTEXTS = (
     Context("C1", ("1", "2", "3")),

@@ -158,8 +158,6 @@ def max_violation(system: PathSystem | None = None) -> tuple[RayState, float]:
 
     Found as the lowest eigenvector of the summed inner projectors.
     """
-    if system is None:
-        system = default_system()
     vals, vecs = np.linalg.eigh(inequality_operator(system))
     state = normalize(vecs[:, 0])
     return state, float(1.0 - vals[0])

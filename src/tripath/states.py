@@ -123,20 +123,15 @@ def hardy_value(i: str, system: PathSystem | None = None) -> float:
     Nonzero despite both interferometer detectors behind i being dark,
     which is the single-state paradox carried by each pentagon corner.
     """
-    if system is None:
-        system = default_system()
     state = n_state(i, system)
     return probabilities(state.ray, system)[i]
 
 
 def _path_definition(name: str) -> tuple[str, str]:
-    if name in INNER_PATHS:
-        for ctx in CONTEXTS:
-            if name in ctx.members:
-                return ctx.outer_paths
-    first = next(c for c in CONTEXTS if name in c.members)
-    second = next(c for c in CONTEXTS if name in c.members and c is not first)
-    return (first.inner_path, second.inner_path)
+    """The paths of the other kind, inner or outer, that share a context with ``name``."""
+    other = OUTER_PATHS if name in INNER_PATHS else INNER_PATHS
+    pair = (p for c in CONTEXTS if name in c.members for p in c.members if p in other)
+    return tuple(pair)  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=4)
@@ -161,8 +156,6 @@ def canonical_states(system: PathSystem | None = None) -> dict[str, NamedState]:
 
 def resolve_state(name: str, system: PathSystem | None = None) -> NamedState:
     """Look up any named state, including the three joint basis states."""
-    if system is None:
-        system = default_system()
     table = canonical_states(system)
     if name in table:
         return table[name]

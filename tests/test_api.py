@@ -7,6 +7,8 @@ import tripath
 from tripath import atlas, classify, hilbert, kd
 from tripath.errors import InvalidInputError, TripathError
 
+_PROFILE = kd.kd_profile(hilbert.normalize([1, 0, 0]))
+
 
 def test_all_lists_exactly_the_public_names():
     public = {
@@ -33,6 +35,9 @@ def test_all_lists_exactly_the_public_names():
         (lambda: classify.classify_batch([[1.0, 0.0, 0.0]], tol=-1e-9), "non-negative"),
         (lambda: classify.classify(hilbert.normalize([1, 0, 0]), tol="1e-9"), "number, got '1e-9'"),
         (lambda: atlas.sample_atlas(16, tol=None), "number, got None"),
+        (lambda: classify.sign_pattern(_PROFILE, float("nan")), "non-negative"),
+        (lambda: classify.sign_pattern(_PROFILE, -1), "non-negative"),
+        (lambda: classify.sign_pattern(_PROFILE, "1e-9"), "number, got '1e-9'"),
         (lambda: classify.classify_batch(np.ones((2, 2))), r"\(n, 3\) array, got shape \(2, 2\)"),
         (lambda: classify.classify_batch(np.array([1.0, 0.0, 0.0])), r"got shape \(3,\)"),
         (lambda: kd.profile_values_batch(np.ones((2, 2))), r"got shape \(2, 2\)"),
@@ -41,6 +46,7 @@ def test_all_lists_exactly_the_public_names():
         "ray-norm", "vector-shape", "atlas-resolution",
         "atlas-resolution-float", "atlas-resolution-bool", "atlas-resolution-cap",
         "raster-grid", "scan-samples", "tol-nan", "tol-negative", "tol-string", "tol-none",
+        "sign-pattern-tol-nan", "sign-pattern-tol-negative", "sign-pattern-tol-string",
         "batch-shape", "batch-row", "profile-batch-shape",
     ],
 )

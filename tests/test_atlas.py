@@ -41,6 +41,11 @@ def test_resolution_floor(system):
         atlas.sample_atlas(8, system=system)
 
 
+def test_grid_keeps_the_tol_it_was_sampled_at(system):
+    assert atlas.sample_atlas(16, 0.0, system).tol == classify.TOL_FLOOR
+    assert atlas.sample_atlas(16, 1e-3, system).tol == 1e-3
+
+
 def test_grid_marks_exterior(grid):
     res = grid.resolution
     assert grid.labels.shape == (res, res)

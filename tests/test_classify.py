@@ -86,6 +86,17 @@ def test_sign_pattern_and_string(system, named):
     assert loose == (0,) * 10
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-20, classify.DEFAULT_TOL, 1e-3])
+def test_sign_pattern_agrees_with_classify(system, named, tol):
+    # both raise a tol below TOL_FLOOR to it, so rounding residues on the
+    # zero circles read as zeros in both
+    rays = [s.ray for s in named.values()] + [b.ray for b in states.joint_basis(system)]
+    assert len(rays) == 23
+    for ray in rays:
+        pattern = classify.sign_pattern(kd.kd_profile(ray, system), tol)
+        assert pattern == classify.classify(ray, system, tol).pattern, ray
+
+
 def test_classify_interior_random(system, rng):
     vectors = random_unit_vectors(rng, 2000)
     boundary, idx = classify.classify_batch(vectors, system)

@@ -90,10 +90,10 @@ def test_contexts_share_one_outer_path():
         assert shared <= set(itf.OUTER_PATHS)
 
 
-def test_context_accessors():
-    c3 = itf.CONTEXTS[2]
-    assert c3.inner_path in itf.INNER_PATHS
-    assert set(c3.outer_paths) <= set(itf.OUTER_PATHS)
+def test_each_context_holds_one_inner_and_two_outer_paths():
+    for ctx in itf.CONTEXTS:
+        assert sum(m in itf.INNER_PATHS for m in ctx.members) == 1, ctx.name
+        assert sum(m in itf.OUTER_PATHS for m in ctx.members) == 2, ctx.name
 
 
 def test_opposite_outer_is_not_adjacent(system):

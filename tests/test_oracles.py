@@ -14,6 +14,7 @@ import pytest
 from tripath import atlas, classify
 from tripath.hilbert import RayState
 from tripath.interferometer import PATH_NAMES
+from tripath.kd import KD_PAIRS
 from tripath.verify import CLOSED_FORMS
 
 # (10, 3) integer path directions in PATH_NAMES order
@@ -102,3 +103,126 @@ def test_lattice_oracle():
     for k, u in enumerate(units.tolist()):
         labels = classify.classify(RayState(*u)).labels
         assert labels == (want[k] if boundary[k] else {classify.ALL_LABELS[idx[k]]}), rays[k]
+
+
+def exact_cells():
+    """Sign vectors, corners and classes of the 31 cells, from integer sign tests alone.
+
+    The 20 vertex rays are the primitive cross products of the path pairs;
+    a sign vector (path 1 positive) is a cell when the sum of the signed
+    vertices in its closed cone lies strictly inside it.  The class comes
+    from the negativity counts of the KD signs sign(k_a . k_b) s_a s_b.
+    Returns (signs, corners, classes), corners as unit vectors in cyclic order.
+    """
+    ia, ib = np.triu_indices(len(K), 1)
+    rays = {}
+    for w in np.cross(K[ia], K[ib]):
+        w = w // gcd(*w.tolist())
+        w = w if next(c for c in w if c) > 0 else -w
+        rays[tuple(w.tolist())] = w
+    assert len(rays) == 20
+    vertices = np.array(list(rays.values()))
+    vertices = np.concatenate([vertices, -vertices])
+    vertex_dots = vertices @ K.T
+    overlap = {(p.a, p.b): np.sign(K[PATH_NAMES.index(p.a)] @ K[PATH_NAMES.index(p.b)]) for p in KD_PAIRS}
+    cells = []
+    for tail in product((1, -1), repeat=9):
+        s = np.array((1, *tail))
+        inside = (vertex_dots * s >= 0).all(axis=1)
+        if not (((vertices[inside].sum(axis=0) @ K.T) * s) > 0).all():
+            continue
+        corners = vertices[inside] / np.linalg.norm(vertices[inside], axis=1, keepdims=True)
+        centre = corners.sum(axis=0) / np.linalg.norm(corners.sum(axis=0))
+        e1 = np.cross(centre, corners[0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(centre, e1)
+        corners = corners[np.argsort(np.arctan2(corners @ e2, corners @ e1))]
+        sign = {name: t for name, t in zip(PATH_NAMES, s)}
+        kd_signs = [overlap[p.a, p.b] * sign[p.a] * sign[p.b] for p in KD_PAIRS]
+        counts = (sum(t < 0 for t in kd_signs[:5]), sum(t < 0 for t in kd_signs[5:]))
+        cls = next(c for c, sig in classify.NEGATIVITY_SIGNATURE.items() if sig == counts)
+        cells.append((tuple(s.tolist()), corners, cls))
+    return cells
+
+
+def edges(corners):
+    """(start, end, arc angle, unit normal) of each edge of a cyclic corner list."""
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        n = np.cross(a, b)
+        yield a, b, np.arctan2(np.linalg.norm(n), a @ b), n / np.linalg.norm(n)
+
+
+def girard_area(corners):
+    """Angle sum minus (n - 2) pi: the sphere area of a convex spherical polygon."""
+    total = 0.0
+    for prev, v, nxt in zip(np.roll(corners, 1, axis=0), corners, np.roll(corners, -1, axis=0)):
+        t1, t2 = prev - (prev @ v) * v, nxt - (nxt @ v) * v
+        total += np.arccos(np.clip(t1 @ t2 / np.linalg.norm(t1) / np.linalg.norm(t2), -1.0, 1.0))
+    return total - (len(corners) - 2) * np.pi
+
+
+def chart_area(corners):
+    """Orthographic chart area, the flux of e1 through the cell: 1/2 sum theta_e (e1 . n_e) (Stokes)."""
+    return abs(0.5 * sum(theta * n[0] for _, _, theta, n in edges(corners)))
+
+
+def chart_perimeter(corners, samples=2000):
+    """Length of the cell's outline in the (u, v) chart, from fine polylines along each arc."""
+    length = 0.0
+    for a, b, theta, n in edges(corners):
+        t = np.linspace(0.0, theta, samples)[:, None]
+        arc = np.cos(t) * a + np.sin(t) * np.cross(n, a)
+        length += np.linalg.norm(np.diff(arc[:, 1:], axis=0), axis=1).sum()
+    return length
+
+
+CELLS = exact_cells()
+# Haar share of each class, from the Girard areas (four decimals)
+CLASS_SHARES = {"N": 0.0604, "V": 0.0999, "B": 0.1189, "T": 0.1915, "X": 0.2615, "Q": 0.2677}
+
+
+def test_exact_cells_are_the_arrangement():
+    assert len(CELLS) == 31
+    sizes = [len(corners) for _, corners, _ in CELLS]
+    assert sum(sizes) == 100 and sorted(sizes) == [3] * 25 + [4] * 5 + [5]
+    census = {}
+    for _, _, cls in CELLS:
+        census[cls] = census.get(cls, 0) + 1
+    assert census == {"N": 1, "V": 5, "B": 5, "T": 5, "X": 10, "Q": 5}
+
+
+def test_cell_areas_give_the_class_shares():
+    # the cells tile the c1 > 0 hemisphere (area 2 pi) and the chart disk (area pi)
+    assert abs(sum(chart_area(corners) for _, corners, _ in CELLS) - np.pi) < 1e-12
+    areas = [girard_area(corners) for _, corners, _ in CELLS]
+    assert min(areas) > 0
+    assert abs(sum(areas) - 2 * np.pi) < 1e-12
+    for cls, share in CLASS_SHARES.items():
+        got = sum(a for a, (_, _, c) in zip(areas, CELLS) if c == cls) / (2 * np.pi)
+        assert abs(got - share) < 5e-5, (cls, got)
+
+
+@pytest.mark.parametrize("resolution", [256, 512, 1024])
+def test_pixel_counts_approach_chart_areas(resolution):
+    grid = atlas.sample_atlas(resolution)
+    labels = grid.labels
+    codes = exact_pixel_codes(resolution)[0]
+    # pair each label with the one exact sign vector its pixels share
+    strict = labels >= 0
+    code_of = np.full(len(classify.ALL_LABELS), -1)
+    code_of[labels[strict]] = codes[strict]
+    assert (code_of >= 0).all() and (code_of[labels[strict]] == codes[strict]).all()
+    cell_of = {s: (corners, cls) for s, corners, cls in CELLS}
+    counts = grid.label_counts()
+    pixel = (2.0 / resolution) ** 2
+    for index, label in enumerate(classify.ALL_LABELS):
+        signs = tuple(int(code_of[index]) // 3 ** (9 - k) % 3 - 1 for k in range(10))
+        corners, cls = cell_of[signs]
+        assert label.cls == cls, str(label)
+        # a point where the cell and its pixels differ lies within half a
+        # pixel diagonal d of the outline, as the segment to its pixel's
+        # centre crosses it; the d-neighbourhood of an outline of chart
+        # length L has area at most 2 d L + pi d^2
+        d = np.sqrt(2.0) / resolution
+        bound = 2 * d * chart_perimeter(corners) + np.pi * d * d
+        assert abs(counts[label] * pixel - chart_area(corners)) <= bound, str(label)
