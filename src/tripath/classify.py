@@ -46,14 +46,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .errors import InvalidInputError, TableInconsistencyError, UnknownPatternError
 from .hilbert import RayState
-from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, default_system
+from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, _per_system, default_system
 from .kd import KDProfile, _kd_kernel, _pair_geometry, profile_values_batch
 
 DEFAULT_TOL = 1e-9
@@ -179,19 +178,13 @@ class SubclassTable:
             raise KeyError(str(label)) from None
 
 
+@_per_system
 def build_subclass_table(system: PathSystem | None = None) -> SubclassTable:
     """Compute the 31 interior sign patterns and the cell of each.
 
     Raises TableInconsistencyError unless the circle arrangement of
     ``system`` has exactly the 31 cells named in ALL_LABELS.
     """
-    if system is None:
-        system = default_system()
-    return _build_table_cached(system)
-
-
-@lru_cache(maxsize=4)
-def _build_table_cached(system: PathSystem) -> SubclassTable:
     _, signs, values = _arrangement_cells(system)
     cell_labels = np.full(1 << 9, -1, dtype=np.int16)
     cell_labels[_cell_codes(values.T)] = np.arange(len(ALL_LABELS))
@@ -207,9 +200,9 @@ def _build_table_cached(system: PathSystem) -> SubclassTable:
 
 def _checked_tol(tol: float) -> float:
     """``tol`` raised to TOL_FLOOR; a non-number, NaN or negative value raises InvalidInputError."""
-    if not isinstance(tol, numbers.Real) or not tol >= 0.0:  # also rejects NaN
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:  # also rejects NaN
         raise InvalidInputError(f"tol must be a non-negative number, got {tol!r}")
-    return max(tol, TOL_FLOOR)
+    return max(float(tol), TOL_FLOOR)
 
 
 def _band_radius(system: PathSystem, tol: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
 from typing import Mapping
 
@@ -27,7 +27,9 @@ PATH_NAMES = ("1", "2", "3", "S1", "D1", "f", "P1", "P2", "S2", "D2")
 OUTER_PATHS = ("1", "2", "S1", "f", "S2")
 INNER_PATHS = ("3", "D1", "P1", "P2", "D2")
 
-# Each inner path pairs with the one outer path it shares no context with.
+# Each inner path k pairs with the pentagon corner across from its
+# context: the one outer path that shares a context with neither outer
+# member of k's context.
 OPPOSITE_OUTER = {"3": "f", "D1": "S2", "P1": "2", "P2": "1", "D2": "S1"}
 
 # Cyclic order of the outer paths around the pentagram rim.
@@ -121,6 +123,17 @@ def build(spec: InterferometerSpec | None = None) -> PathSystem:
 def default_system() -> PathSystem:
     """The cascade at the canonical reflectivities (1/2, 1/3, 1/4, 1/3, 1/2)."""
     return build()
+
+
+def _per_system(derive):
+    """``derive(system)`` cached for the four most recent systems; ``system=None`` reads as default_system()."""
+    cached = lru_cache(maxsize=4)(derive)
+
+    @wraps(derive)
+    def per_system(system: PathSystem | None = None):
+        return cached(default_system() if system is None else system)
+
+    return per_system
 
 
 def verify_closure(system: PathSystem, tol: float = 1e-12) -> bool:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegeneratePairError, InvalidInputError, UnknownPathError
 from .hilbert import RayState, inner, normalize
-from .interferometer import INNER_PATHS, PATH_NAMES, PathSystem, _amplitudes, default_system
+from .interferometer import INNER_PATHS, PATH_NAMES, PathSystem, _amplitudes, _per_system, default_system
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class KDProfile:
             raise UnknownPathError(f"({a},{b}) is not a canonical pair") from None
 
 
-@lru_cache(maxsize=4)
+@_per_system
 def _pair_geometry(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair index arrays and the ten overlaps <a|b>, in KD_PAIRS order."""
     paths = system.vectors

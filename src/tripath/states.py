@@ -24,7 +24,6 @@ state and fails the defining D2 orthogonality, so it is rejected here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import UnknownPathError
 from .hilbert import RayState, inner, orthogonal_to_pair
@@ -36,6 +35,7 @@ from .interferometer import (
     OUTER_PATHS,
     PATH_NAMES,
     PathSystem,
+    _per_system,
     default_system,
     probabilities,
 )
@@ -88,8 +88,13 @@ def theta_state(k: str, system: PathSystem | None = None) -> NamedState:
     return NamedState(f"theta_{k}", ray, (k, partner))
 
 
-@lru_cache(maxsize=4)
-def _joint_basis_cached(system: PathSystem) -> tuple[NamedState, NamedState, NamedState]:
+@_per_system
+def joint_basis(system: PathSystem | None = None) -> tuple[NamedState, NamedState, NamedState]:
+    """Orthonormal basis of one Q sub-class state and two T sub-class states.
+
+    Projective measurement in this basis certifies membership in the
+    corresponding strongly nonclassical sub-classes with high fidelity.
+    """
     q = orthogonal_to_pair(n_state("S2", system).ray, theta_state("D1", system).ray)
     t2s1 = orthogonal_to_pair(q, system.ray("1"))
     t1f = orthogonal_to_pair(q, t2s1)
@@ -98,17 +103,6 @@ def _joint_basis_cached(system: PathSystem) -> tuple[NamedState, NamedState, Nam
         NamedState("T(2,S1)", t2s1, ("Q(S2,D1)", "1")),
         NamedState("T(1,f)", t1f, ("Q(S2,D1)", "T(2,S1)")),
     )
-
-
-def joint_basis(system: PathSystem | None = None) -> tuple[NamedState, NamedState, NamedState]:
-    """Orthonormal basis of one Q sub-class state and two T sub-class states.
-
-    Projective measurement in this basis certifies membership in the
-    corresponding strongly nonclassical sub-classes with high fidelity.
-    """
-    if system is None:
-        system = default_system()
-    return _joint_basis_cached(system)
 
 
 def decompose_in_basis(psi: RayState, system: PathSystem | None = None) -> tuple[float, float, float]:
@@ -134,7 +128,7 @@ def _path_definition(name: str) -> tuple[str, str]:
     return tuple(pair)  # type: ignore[return-value]
 
 
-@lru_cache(maxsize=4)
+@_per_system
 def _canonical_states_cached(system: PathSystem) -> tuple[NamedState, ...]:
     return (
         *(NamedState(n, system.ray(n), _path_definition(n)) for n in PATH_NAMES),
@@ -149,17 +143,12 @@ def canonical_states(system: PathSystem | None = None) -> dict[str, NamedState]:
     Built once per system; each call returns a fresh dict, so a caller
     that changes it changes no later result.
     """
-    if system is None:
-        system = default_system()
     return {s.name: s for s in _canonical_states_cached(system)}
 
 
 def resolve_state(name: str, system: PathSystem | None = None) -> NamedState:
     """Look up any named state, including the three joint basis states."""
-    table = canonical_states(system)
-    if name in table:
-        return table[name]
-    for b in joint_basis(system):
-        if b.name == name:
-            return b
+    for state in (*canonical_states(system).values(), *joint_basis(system)):
+        if state.name == name:
+            return state
     raise UnknownPathError(f"unknown state name {name!r}")

@@ -38,6 +38,10 @@ def test_all_lists_exactly_the_public_names():
         (lambda: classify.sign_pattern(_PROFILE, float("nan")), "non-negative"),
         (lambda: classify.sign_pattern(_PROFILE, -1), "non-negative"),
         (lambda: classify.sign_pattern(_PROFILE, "1e-9"), "number, got '1e-9'"),
+        (lambda: classify.classify(hilbert.normalize([1, 2, 3]), tol=True), "number, got True"),
+        (lambda: classify.classify_batch([[1.0, 0.0, 0.0]], tol=True), "number, got True"),
+        (lambda: atlas.sample_atlas(16, True), "number, got True"),
+        (lambda: classify.sign_pattern(_PROFILE, False), "number, got False"),
         (lambda: classify.classify_batch(np.ones((2, 2))), r"\(n, 3\) array, got shape \(2, 2\)"),
         (lambda: classify.classify_batch(np.array([1.0, 0.0, 0.0])), r"got shape \(3,\)"),
         (lambda: kd.profile_values_batch(np.ones((2, 2))), r"got shape \(2, 2\)"),
@@ -47,6 +51,7 @@ def test_all_lists_exactly_the_public_names():
         "atlas-resolution-float", "atlas-resolution-bool", "atlas-resolution-cap",
         "raster-grid", "scan-samples", "tol-nan", "tol-negative", "tol-string", "tol-none",
         "sign-pattern-tol-nan", "sign-pattern-tol-negative", "sign-pattern-tol-string",
+        "tol-bool", "batch-tol-bool", "atlas-tol-bool", "sign-pattern-tol-bool",
         "batch-shape", "batch-row", "profile-batch-shape",
     ],
 )

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripath import classify
+from tripath import classify, states
 from tripath import interferometer as itf
 from tripath.errors import InvalidReflectivityError, UnknownPathError
 from tripath.hilbert import inner, normalize, same_ray
@@ -97,10 +99,17 @@ def test_each_context_holds_one_inner_and_two_outer_paths():
 
 
 def test_opposite_outer_is_not_adjacent(system):
-    # the outer path opposite an inner path never shares a context with it
+    def sharing_a_context(p):
+        return {q for ctx in itf.CONTEXTS if p in ctx.members for q in ctx.members}
+
+    assert sorted(itf.OPPOSITE_OUTER) == sorted(itf.INNER_PATHS)
     for k, i in itf.OPPOSITE_OUTER.items():
-        for ctx in itf.CONTEXTS:
-            assert not (k in ctx.members and i in ctx.members)
+        # the opposite outer path never shares a context with k ...
+        assert i not in sharing_a_context(k)
+        # ... and is the one outer path that shares none with either outer member of k's context
+        ends = [p for p in sharing_a_context(k) if p in itf.OUTER_PATHS]
+        across = [p for p in itf.OUTER_PATHS if not any(p in sharing_a_context(e) for e in ends)]
+        assert across == [i], k
         # and their overlap is strictly between 0 and 1
         g = abs(inner(system.ray(k), system.ray(i)))
         assert 1e-6 < g < 1 - 1e-6
@@ -140,6 +149,25 @@ def test_build_is_pure():
     b = itf.build(itf.InterferometerSpec())
     for name in itf.PATH_NAMES:
         assert np.array_equal(a.ray(name).vector, b.ray(name).vector)
+
+
+@pytest.mark.parametrize(
+    "derive", [classify.build_subclass_table, states.joint_basis, states.canonical_states], ids=lambda f: f.__name__
+)
+def test_per_system_data_keeps_its_identity_and_is_built_once(derive):
+    # span tracing finds functions by their module, so the memo must not rename them
+    assert getattr(sys.modules[derive.__module__], derive.__name__) is derive
+    assert derive.__module__ in ("tripath.classify", "tripath.states")
+    assert derive.__doc__
+    assert inspect.signature(derive).parameters["system"].default is None
+    if derive is states.canonical_states:  # a fresh dict of the same states
+        assert derive() is not derive(itf.default_system())
+        assert all(a is b for a, b in zip(derive().values(), derive(itf.default_system()).values()))
+        return
+    other = closing_system(0.4, 0.3)
+    assert derive() is derive(itf.default_system())
+    assert derive(other) is derive(other)
+    assert derive(other) is not derive()
 
 
 @settings(max_examples=40, deadline=None)
