@@ -32,7 +32,7 @@ from .classify import (
 )
 from .errors import InvalidInputError, UnsupportedFormatError
 from .hilbert import circle_points
-from .interferometer import PATH_NAMES, PathSystem, default_system, probabilities
+from .interferometer import PATH_NAMES, PathSystem, _per_system, default_system, probabilities
 from .kd import KD_PAIRS, inequality_sum, kd_profile
 from .states import canonical_states, joint_basis
 
@@ -200,14 +200,14 @@ def render(
     """Render the chart; ``raster`` gives the PPM file as a bytearray, ``vector`` SVG text.
 
     Raster output needs a sampled grid.  Vector output draws the region
-    boundaries analytically and only needs the path system.
+    boundaries analytically from the path system alone, once per system.
     """
     if fmt == "raster":
         if grid is None:
             raise InvalidInputError("raster rendering needs a sampled grid")
         return _render_ppm(grid)
     if fmt == "vector":
-        return _render_svg(system or default_system())
+        return _render_svg(system)
     raise UnsupportedFormatError(f"unknown atlas format {fmt!r}")
 
 
@@ -231,36 +231,7 @@ def _render_ppm(grid: AtlasGrid) -> bytearray:
 _SVG_SAMPLES = 720
 
 
-def _polyline_points(coords: np.ndarray) -> list[str]:
-    """The ``x,y x,y ...`` text of each line of (lines, points, 2) coordinates.
-
-    Each number reads as ``repr(float(np.round(c, 5)))``.  It is written
-    into a slot of nine bytes, [sign, units, '.', five decimals, separator],
-    and a mask keeps the sign of negative numbers (-0.0 among them) and the
-    decimals up to the last nonzero one, at least one.  The values
-    +-k / 10^5 with 1 <= k <= 9 read ``ke-05`` instead.  Every |c| must be
-    below 10, so that the units are one digit.
-    """
-    rounded = np.round(coords, 5)
-    units, frac = np.divmod(np.rint(np.abs(rounded) * 1e5).astype(np.int64), 100_000)
-    digits = frac[..., None] // 10 ** np.arange(4, -1, -1) % 10
-    tiny = (units == 0) & (frac > 0) & (frac < 10)
-    slots = np.empty(frac.shape + (9,), dtype=np.uint8)
-    slots[..., 0] = ord("-")
-    slots[..., 1] = units + frac * tiny + ord("0")
-    slots[..., 2] = np.where(tiny, ord("e"), ord("."))
-    slots[..., 3:8] = digits + ord("0")
-    slots[tiny, 3:6] = np.frombuffer(b"-05", dtype=np.uint8)
-    # x ends in a comma, y in a space, and the last y of a line in a newline
-    slots[..., 8] = np.frombuffer(b", ", dtype=np.uint8)
-    slots[:, -1, 1, 8] = ord("\n")
-    keep = np.ones(slots.shape, dtype=bool)
-    keep[..., 0] = np.signbit(rounded)
-    keep[..., 4:8] = np.logical_or.accumulate(digits[..., :0:-1] > 0, axis=-1)[..., ::-1]
-    keep[tiny, 6:8] = False
-    return slots[keep].tobytes().decode("ascii").split("\n")[:-1]
-
-
+@_per_system
 def _render_svg(system: PathSystem) -> str:
     named = canonical_states(system)
     parts = [
@@ -272,8 +243,9 @@ def _render_svg(system: PathSystem) -> str:
     points = np.stack([circle_points(system.ray(name), _SVG_SAMPLES) for name in PATH_NAMES])
     # The projected circle is centrally symmetric, so skipping the
     # hemisphere flip keeps the polyline continuous; SVG y points down.
-    texts = _polyline_points(np.stack([points[..., 1], -points[..., 2]], -1))
-    for name, text in zip(PATH_NAMES, texts):
+    coords = np.round(np.stack([points[..., 1], -points[..., 2]], -1), 5)
+    for name, line in zip(PATH_NAMES, coords):
+        text = " ".join(f"{x!r},{y!r}" for x, y in line.tolist())
         parts.append(
             f'<polyline points="{text}" fill="none" stroke="#666666" stroke-width="0.004">'
             f"<title>P({name}) = 0</title></polyline>"

@@ -50,7 +50,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InvalidInputError, TableInconsistencyError, UnknownPatternError
+from .errors import InvalidInputError, TableInconsistencyError, UnknownPathError, UnknownPatternError
 from .hilbert import RayState
 from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, _per_system, default_system
 from .kd import KDProfile, _kd_kernel, _pair_geometry, profile_values_batch
@@ -199,10 +199,13 @@ def build_subclass_table(system: PathSystem | None = None) -> SubclassTable:
 
 
 def _checked_tol(tol: float) -> float:
-    """``tol`` raised to TOL_FLOOR; a non-number, NaN or negative value raises InvalidInputError."""
+    """``tol`` raised to TOL_FLOOR, inf past floats; a non-number, NaN or negative value raises InvalidInputError."""
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:  # also rejects NaN
         raise InvalidInputError(f"tol must be a non-negative number, got {tol!r}")
-    return max(float(tol), TOL_FLOOR)
+    try:
+        return max(float(tol), TOL_FLOOR)
+    except OverflowError:  # an int or Fraction too large for a float
+        return math.inf
 
 
 def _band_radius(system: PathSystem, tol: float) -> float:
@@ -298,7 +301,10 @@ def mirror_label(label: ClassLabel) -> ClassLabel:
     The swap fixes path 3, exchanges partner paths on each side, and
     maps every polygon onto a polygon, so labels permute.
     """
-    mirrored = tuple(MIRROR_PATHS[p] for p in label.params)
+    try:
+        mirrored = tuple(MIRROR_PATHS[p] for p in label.params)
+    except (KeyError, TypeError):  # TypeError: an unhashable parameter
+        raise UnknownPathError(f"unknown path in {label!r}") from None
     for candidate in ALL_LABELS:
         if candidate.cls == label.cls and set(candidate.params) == set(mirrored):
             return candidate

@@ -95,6 +95,7 @@ class PathSystem:
 
 
 def _splitter(outer: np.ndarray, mid: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    r = float(r)  # np.sqrt takes no Fraction
     sr, st = np.sqrt(r), np.sqrt(1.0 - r)
     return sr * outer + st * mid, st * outer - sr * mid
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegeneratePairError, InvalidInputError, UnknownPathError
 from .hilbert import RayState, inner, normalize
-from .interferometer import INNER_PATHS, PATH_NAMES, PathSystem, _amplitudes, _per_system, default_system
+from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, _amplitudes, _per_system, default_system
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class KDProfile:
     def value(self, a: str, b: str) -> float:
         try:
             return self.values[_PAIR_INDEX[frozenset((a, b))]]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownPathError(f"({a},{b}) is not a canonical pair") from None
 
 
@@ -125,7 +125,7 @@ def decompose_outer(
     The terms sum over the context that contains neither i nor a path
     orthogonal to it, so completeness makes the sum exactly P(i).
     """
-    if i not in DECOMPOSITION_PAIRS:
+    if i not in OUTER_PATHS:  # a tuple, so an unhashable i compares instead of raising
         raise UnknownPathError(f"decompose_outer expects an outer path, got {i!r}")
     profile = kd_profile(psi, system)
     return [(KD_PAIRS[_PAIR_INDEX[frozenset(ab)]], profile.value(*ab)) for ab in DECOMPOSITION_PAIRS[i]]

@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import tripath
 from tripath import atlas, classify, hilbert, kd
-from tripath.errors import InvalidInputError, TripathError
+from tripath.classify import ClassLabel
+from tripath.errors import InvalidInputError, TripathError, UnknownPathError
 
 _PROFILE = kd.kd_profile(hilbert.normalize([1, 0, 0]))
 
@@ -66,3 +68,30 @@ def test_empty_batch_gives_empty_arrays():
     boundary, idx = classify.classify_batch(np.zeros((0, 3)))
     assert boundary.shape == idx.shape == (0,)
     assert kd.profile_values_batch(np.zeros((0, 3))).shape == (0, 10)
+
+
+def test_tol_past_the_float_range_reads_as_inf():
+    psi = hilbert.normalize([1, 2, 3])
+    rays = np.array([psi.vector, hilbert.normalize([3, -1, 0.5]).vector])
+    huge = 10**400
+    assert classify.classify(psi, tol=huge) == classify.classify(psi, tol=math.inf)
+    for got, want in zip(classify.classify_batch(rays, tol=huge), classify.classify_batch(rays, tol=math.inf)):
+        assert np.array_equal(got, want)
+    assert classify.sign_pattern(_PROFILE, huge) == classify.sign_pattern(_PROFILE, math.inf)
+    grid, want = atlas.sample_atlas(16, huge), atlas.sample_atlas(16, math.inf)
+    assert grid.tol == math.inf
+    assert np.array_equal(grid.starts, want.starts) and np.array_equal(grid.values, want.values)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kd.decompose_outer(hilbert.normalize([1, 0, 0]), ["1"]),
+        lambda: _PROFILE.value(["1"], "f"),
+        lambda: classify.mirror_label(ClassLabel("B", ("1", "Z"))),
+    ],
+    ids=["decompose-outer-list", "profile-value-list", "mirror-label-unknown-path"],
+)
+def test_path_names_that_are_not_paths_raise_unknown_path_error(call):
+    with pytest.raises(UnknownPathError, match=r"\['1'\]|'Z'"):
+        call()

@@ -281,16 +281,14 @@ def test_polylines_at_closing_specs(r1, rS1):
     assert re.findall(r'<polyline points="([^"]*)"', atlas.render(None, "vector", system)) == want
 
 
-def test_point_writer_matches_repr_everywhere():
-    # every k / 10^5 with |k| <= 10^5, the ke-05 forms, and values that round
-    # to -0.0, to 1e-05 or 9e-05 and to +-1.0
-    extra = np.concatenate([np.arange(1, 10) * 1e-5, np.arange(-9, 0) * 1e-5])
-    extra = np.concatenate([extra, [-0.0, -4e-6, 4e-6, 1.4e-5, -8.7e-5, 0.999996, -0.999996]])
-    values = np.concatenate([np.arange(-100_000, 100_001) / 1e5, extra])
-    coords = np.stack([values, values[::-1]], 1)
-    (text,) = atlas._polyline_points(coords[None])
-    want = [f"{float(np.round(x, 5))!r},{float(np.round(y, 5))!r}" for x, y in coords]
-    assert text.split(" ") == want
+def test_vector_chart_is_built_once_per_system():
+    svg = atlas.render(None, "vector")
+    assert atlas.render(None, "vector", interferometer.default_system()) is svg
+    other = closing_system(0.4, 0.3)
+    assert atlas.render(None, "vector", other) is not svg
+    assert atlas.render(None, "vector", other) is atlas.render(None, "vector", other)
+    assert atlas._render_svg.__wrapped__(other) == atlas.render(None, "vector", other)
+    assert atlas._render_svg.__wrapped__(interferometer.default_system()) == svg
 
 
 def test_render_format_errors(grid):

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +62,11 @@ def test_reflectivity_validation():
     for bad in ("0.5", None, [0.5]):
         with pytest.raises(InvalidReflectivityError, match="not a real number"):
             itf.InterferometerSpec(r1=bad)
+
+
+def test_fraction_reflectivities_build_the_canonical_cascade(system):
+    spec = itf.InterferometerSpec(*(Fraction(1, n) for n in (2, 3, 4, 3, 2)))
+    assert np.array_equal(itf.build(spec).vectors, system.vectors)
 
 
 def test_contexts_are_orthonormal_triples(system):
