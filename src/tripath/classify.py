@@ -175,7 +175,7 @@ class SubclassTable:
         try:
             return self.patterns[self.labels.index(label)]
         except ValueError:
-            raise KeyError(str(label)) from None
+            raise UnknownPatternError(f"no sub-class {label!r} in the table") from None
 
 
 @_per_system
@@ -249,16 +249,18 @@ def classify(
     tol = _checked_tol(tol)
     table = build_subclass_table(system)
     amps, values = _kd_kernel(psi.vector[None, :], system)
-    amps = amps[:, 0]
     pattern = _signs(values[:, 0].tolist(), tol)
-    fixed = np.abs(amps) > (_band_radius(system, tol) if 0 in pattern else tol)
-    agree = np.abs(table.cell_signs[:, fixed] @ np.sign(amps[fixed])) == fixed.sum()
-    found = frozenset(label for label, ok in zip(table.labels, agree) if ok)
-    if not found:
+    if 0 in pattern:
+        fixed = np.abs(amps[:, 0]) > _band_radius(system, tol)
+        agree = np.abs(table.cell_signs[:, fixed] @ np.sign(amps[fixed, 0])) == fixed.sum()
+        rows = np.flatnonzero(agree).tolist()
+    else:
+        rows = table.cell_labels[_cell_codes(values)].tolist()
+    if not rows or -1 in rows:
         raise UnknownPatternError(
             f"amplitude signs of {psi} (pattern {pattern_string(pattern)}) match no sub-class"
         )
-    return ClassificationResult(state=psi, pattern=pattern, labels=found)
+    return ClassificationResult(state=psi, pattern=pattern, labels=frozenset(table.labels[i] for i in rows))
 
 
 def classify_batch(

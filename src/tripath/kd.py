@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePairError, InvalidInputError, UnknownPathError
+from .errors import DegeneratePairError, InvalidInputError, NonFiniteError, UnknownPathError, ZeroVectorError
 from .hilbert import RayState, inner, normalize
 from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, _amplitudes, _per_system, default_system
 
@@ -105,9 +105,21 @@ def _kd_kernel(vectors: np.ndarray, system: PathSystem | None) -> tuple[np.ndarr
 def profile_values_batch(vectors: np.ndarray, system: PathSystem | None = None) -> np.ndarray:
     """Profiles of many unit vectors at once, shape (n, 10); rows follow KD_PAIRS order.
 
-    The array is a transposed view of the paths-major kernel output.
-    Raises NonFiniteError naming the rows that hold a NaN or infinity.
+    The array is a transposed view of the paths-major kernel output.  The
+    batch input checks run here: InvalidInputError for an array that is not
+    real of shape (n, 3), NonFiniteError and ZeroVectorError naming the rows
+    that hold a NaN or infinity or are all zero.
     """
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.shape[1] != 3 or np.iscomplexobj(vectors):
+        raise InvalidInputError(f"expected a real (n, 3) array, got shape {vectors.shape} and dtype {vectors.dtype}")
+    vectors = vectors.astype(float, copy=False)
+    if not np.isfinite(vectors).all():
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        raise NonFiniteError(f"non-finite coefficients in {len(bad)} rows, first {bad[:10].tolist()}")
+    if not (np.abs(vectors) @ np.ones(3)).all():  # faster than any(axis=1)
+        bad = np.flatnonzero(~vectors.any(axis=1))
+        raise ZeroVectorError(f"zero vectors in {len(bad)} rows, first {bad[:10].tolist()}")
     return _kd_kernel(vectors, system)[1].T
 
 

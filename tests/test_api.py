@@ -1,13 +1,21 @@
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import tripath
-from tripath import atlas, classify, hilbert, kd
+from tripath import atlas, classify, hilbert, interferometer, kd
 from tripath.classify import ClassLabel
-from tripath.errors import InvalidInputError, TripathError, UnknownPathError
+from tripath.errors import (
+    InvalidInputError,
+    InvalidReflectivityError,
+    TripathError,
+    UnknownPathError,
+    UnknownPatternError,
+    ZeroVectorError,
+)
 
 _PROFILE = kd.kd_profile(hilbert.normalize([1, 0, 0]))
 
@@ -62,6 +70,64 @@ def test_bad_caller_input_raises_a_typed_error(call, message):
         call()
     assert isinstance(info.value, TripathError)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: classify.classify_batch(np.array([[0.6, 0.8j, 0.0]])), InvalidInputError, "dtype complex128"),
+        (lambda: kd.profile_values_batch([[0.6, 0.8j, 0.0]]), InvalidInputError, "dtype complex128"),
+        (
+            lambda: classify.classify_batch([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, -0.0, 0.0]]),
+            ZeroVectorError,
+            r"2 rows, first \[1, 3\]",
+        ),
+        (
+            lambda: classify.build_subclass_table().pattern_for(ClassLabel("B", ("1", "2"))),
+            UnknownPatternError,
+            r"ClassLabel\(cls='B', params=\('1', '2'\)\)",
+        ),
+        (
+            lambda: classify.build_subclass_table().pattern_for(ClassLabel("B", (1, 2))),
+            UnknownPatternError,
+            r"params=\(1, 2\)",
+        ),
+        (lambda: interferometer.InterferometerSpec(r1=Fraction(1, 10**400)), InvalidReflectivityError, "r1=Fraction"),
+        (
+            lambda: interferometer.InterferometerSpec(rS2=Fraction(10**20 - 1, 10**20)),
+            InvalidReflectivityError,
+            "rS2=Fraction",
+        ),
+    ],
+    ids=[
+        "batch-complex", "profile-batch-complex", "batch-zero-rows",
+        "pattern-for-unknown-label", "pattern-for-non-string-params",
+        "reflectivity-reads-zero", "reflectivity-reads-one",
+    ],
+)
+def test_edge_inputs_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert isinstance(info.value, TripathError)
+
+
+@pytest.mark.parametrize(
+    "exact, rounded",
+    [
+        (hilbert.RayState(1, 0, 0), hilbert.RayState(1.0, 0.0, 0.0)),
+        (hilbert.RayState(Fraction(3, 5), Fraction(4, 5), 0), hilbert.RayState(0.6, 0.8, 0.0)),
+    ],
+    ids=["int", "fraction"],
+)
+def test_int_and_fraction_rays_match_their_float_rays_bit_for_bit(exact, rounded):
+    def bits(values):
+        return [float.hex(v) for v in values]
+
+    assert bits(interferometer.probabilities(exact).values()) == bits(interferometer.probabilities(rounded).values())
+    assert bits(kd.kd_profile(exact).values) == bits(kd.kd_profile(rounded).values)
+    assert bits([kd.inequality_sum(exact)]) == bits([kd.inequality_sum(rounded)])
+    got, want = classify.classify(exact), classify.classify(rounded)
+    assert (got.pattern, got.labels) == (want.pattern, want.labels)
 
 
 def test_empty_batch_gives_empty_arrays():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tripath import classify, hilbert, interferometer, kd, states
 from tripath.classify import ClassLabel
-from tripath.errors import NonFiniteError, TableInconsistencyError
+from tripath.errors import NonFiniteError, TableInconsistencyError, UnknownPatternError
 from tripath.hilbert import inner, normalize
 from tripath.interferometer import PATH_NAMES
 
@@ -188,7 +188,7 @@ def test_zero_tol_keeps_the_default_label_sets(system, named):
 def test_pattern_for_roundtrip(table):
     for label in classify.ALL_LABELS:
         assert table.labels[table.patterns.index(table.pattern_for(label))] == label
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownPatternError):
         table.pattern_for(ClassLabel("B", ("1", "2")))
 
 
