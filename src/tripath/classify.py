@@ -275,7 +275,8 @@ def classify_batch(
     -1, and otherwise indexes ALL_LABELS.  A ``tol`` below TOL_FLOOR
     counts as TOL_FLOOR; a negative or NaN ``tol`` raises
     InvalidInputError.  Raises NonFiniteError or UnknownPatternError
-    naming the offending rows.
+    naming the offending rows.  Rows are not normalised and ``tol`` is
+    absolute on the KD values, so for a row scaled by s the band is tol/s**2.
     """
     tol = _checked_tol(tol)
     table = build_subclass_table(system)

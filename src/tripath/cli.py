@@ -15,12 +15,14 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, atlas, classify, interferometer, kd, states, verify
+# each handler imports the submodules it runs, so a command loads only those
+from . import __version__
 from .errors import TripathError
-from .hilbert import RayState, inner, normalize
+
+if TYPE_CHECKING:
+    from .hilbert import RayState
 
 _BASIS_TARGETS = {"Q(S2,D1)": "P1", "T(2,S1)": "S1", "T(1,f)": "f"}
 
@@ -59,28 +61,29 @@ def parse_amplitude(tok: str) -> float:
     return sign * _atom(tok)
 
 
-def parse_amplitudes(text: str) -> np.ndarray:
+def parse_amplitudes(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma separated amplitudes, got {len(parts)}")
     try:
-        return np.array([parse_amplitude(p) for p in parts])
+        return [parse_amplitude(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad amplitude in {text!r}: {exc}") from exc
 
 
 def _state_from_args(args) -> tuple[RayState, str]:
+    from . import hilbert, states
     # the parser requires exactly one of --state and --amplitudes
     if args.state is not None:
         named = states.resolve_state(args.state)
         return named.ray, named.name
     vec = parse_amplitudes(args.amplitudes)
-    canonical = normalize(vec)  # raises on a zero or non-finite vector
+    canonical = hilbert.normalize(vec)  # raises on a zero or non-finite vector
     norm = math.hypot(*vec)  # neither overflows nor underflows
     if abs(norm - 1.0) > 1e-9:
         print(f"note: normalizing amplitudes (norm was {norm:.12g})", file=sys.stderr)
-    # keep the sign the caller typed
-    if float(np.sign(vec) @ canonical.vector) < 0:
+    # keep the sign the caller typed: sign(vec) . canonical < 0 means it flipped
+    if sum(c * ((v > 0) - (v < 0)) for v, c in zip(vec, canonical)) < 0:
         canonical = canonical.flipped()
     return canonical, "custom"
 
@@ -104,6 +107,7 @@ def _fmt_vec(ray: RayState) -> str:
 
 
 def _cmd_states(args):
+    from . import states
     named = states.canonical_states().values()
     doc = {
         "states": [
@@ -116,6 +120,7 @@ def _cmd_states(args):
 
 
 def _cmd_kd(args):
+    from . import kd
     ray, name = _state_from_args(args)
     values = kd.kd_profile(ray).values
     doc = {
@@ -127,8 +132,9 @@ def _cmd_kd(args):
         ],
     }
     if args.csv:
+        from .atlas import _csv_doc
         header = ["state"] + [p.label for p in kd.KD_PAIRS]
-        text = atlas._csv_doc(header, [[name] + [repr(v) for v in values]])
+        text = _csv_doc(header, [[name] + [repr(v) for v in values]])
         # csv ends every row with \r\n; print restores the final \n
         return doc, [text.removesuffix("\n")], 0
     lines = [f"state {name}: {_fmt_vec(ray)}"]
@@ -138,8 +144,9 @@ def _cmd_kd(args):
 
 
 def _cmd_classify(args):
+    from . import classify
     ray, name = _state_from_args(args)
-    result = classify.classify(ray, tol=args.tol)
+    result = classify.classify(ray, tol=classify.DEFAULT_TOL if args.tol is None else args.tol)
     pattern = classify.pattern_string(result.pattern)
     labels = sorted(str(l) for l in result.labels)
     doc = {
@@ -159,6 +166,7 @@ def _cmd_classify(args):
 
 
 def _cmd_inequality(args):
+    from . import interferometer, kd
     if args.max:
         ray, violation = kd.max_violation()
         name, total = "max-violation", 1.0 - violation
@@ -181,11 +189,12 @@ def _cmd_inequality(args):
 
 
 def _cmd_basis(args):
+    from . import hilbert, interferometer, states
     system = interferometer.default_system()
     rows = []
     for b in states.joint_basis():
         target = _BASIS_TARGETS[b.name]
-        rows.append((b, target, inner(b.ray, system.ray(target)) ** 2))
+        rows.append((b, target, hilbert.inner(b.ray, system.ray(target)) ** 2))
     doc = {
         "basis": [
             {"name": b.name, "components": _vec(b.ray), "detector": target, "fidelity": fidelity}
@@ -200,11 +209,12 @@ def _cmd_basis(args):
 
 
 def _cmd_atlas(args):
+    from . import atlas, classify
     raster = args.format in ("raster", "both")
     # check the input before creating the directory, so bad input leaves none behind
     atlas._checked_resolution(args.resolution)
-    classify._checked_tol(args.tol)
-    grid = atlas.sample_atlas(args.resolution, args.tol) if raster else None
+    tol = classify._checked_tol(classify.DEFAULT_TOL if args.tol is None else args.tol)
+    grid = atlas.sample_atlas(args.resolution, tol) if raster else None
     outdir = Path(args.out or os.environ.get("TRIPATH_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -225,6 +235,7 @@ def _cmd_atlas(args):
 
 
 def _cmd_verify(args):
+    from . import verify
     results = verify.run_checks()
     failed = sum(not r.ok for r in results)
     doc = {
@@ -277,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("classify", _cmd_classify, "sub-class labels of a state")
     state_group(p)
-    p.add_argument("--tol", type=float, default=classify.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)  # None: the handler reads classify.DEFAULT_TOL
     p.add_argument("--json", action="store_true")
 
     p = command("inequality", _cmd_inequality, "inner path sum and its classical gap")
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("atlas", _cmd_atlas, "render the sub-class chart and data tables")
     p.add_argument("--resolution", type=int, default=512)
-    p.add_argument("--tol", type=float, default=classify.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)  # None: the handler reads classify.DEFAULT_TOL
     p.add_argument("--format", choices=("raster", "vector", "both"), default="raster")
     p.add_argument("--tables", action="store_true", help="also write the reference CSV tables")
     p.add_argument(

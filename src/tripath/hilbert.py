@@ -9,6 +9,7 @@ coincide.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,8 @@ class RayState:
     c3: float
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, numbers.Real) for c in self):  # numpy's complex scalars too
+            raise InvalidInputError(f"ray coefficients must be real numbers, got {tuple(self)!r}")
         norm = math.sqrt(self.c1 * self.c1 + self.c2 * self.c2 + self.c3 * self.c3)
         if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN
             raise InvalidInputError(f"ray coefficients have norm {norm!r}, expected 1")
@@ -51,10 +54,18 @@ class RayState:
         return iter((self.c1, self.c2, self.c3))
 
 
+def _real_array(v) -> np.ndarray:
+    """``v`` as a float array, else InvalidInputError; one dtype test, and an object array's entries scanned."""
+    arr = np.asarray(v)
+    if not (arr.dtype.kind in "biuf" or arr.dtype == object and all(isinstance(c, numbers.Real) for c in arr.flat)):
+        raise InvalidInputError(f"expected real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _as_array(v: RayState | Sequence[float] | np.ndarray) -> np.ndarray:
     if isinstance(v, RayState):
         return v.vector
-    arr = np.asarray(v, dtype=float)
+    arr = _real_array(v)
     if arr.shape != (3,):
         raise InvalidInputError(f"expected a 3-vector, got shape {arr.shape}")
     return arr

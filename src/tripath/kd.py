@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePairError, InvalidInputError, NonFiniteError, UnknownPathError, ZeroVectorError
-from .hilbert import RayState, inner, normalize
+from .hilbert import RayState, _real_array, inner, normalize
 from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, _amplitudes, _per_system, default_system
 
 
@@ -107,13 +107,13 @@ def profile_values_batch(vectors: np.ndarray, system: PathSystem | None = None) 
 
     The array is a transposed view of the paths-major kernel output.  The
     batch input checks run here: InvalidInputError for an array that is not
-    real of shape (n, 3), NonFiniteError and ZeroVectorError naming the rows
-    that hold a NaN or infinity or are all zero.
+    real numbers of shape (n, 3), NonFiniteError and ZeroVectorError naming
+    the rows that hold a NaN or infinity or are all zero.  Rows are not
+    normalised: a row scaled by s has its values scaled by s**2.
     """
-    vectors = np.asarray(vectors)
-    if vectors.ndim != 2 or vectors.shape[1] != 3 or np.iscomplexobj(vectors):
-        raise InvalidInputError(f"expected a real (n, 3) array, got shape {vectors.shape} and dtype {vectors.dtype}")
-    vectors = vectors.astype(float, copy=False)
+    vectors = _real_array(vectors)
+    if vectors.ndim != 2 or vectors.shape[1] != 3:
+        raise InvalidInputError(f"expected a real (n, 3) array, got shape {vectors.shape}")
     if not np.isfinite(vectors).all():
         bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
         raise NonFiniteError(f"non-finite coefficients in {len(bad)} rows, first {bad[:10].tolist()}")

@@ -21,10 +21,11 @@ _PROFILE = kd.kd_profile(hilbert.normalize([1, 0, 0]))
 
 
 def test_all_lists_exactly_the_public_names():
+    # the package loads submodules on demand, so resolve every listed name
     public = {
         name
-        for name, value in vars(tripath).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(tripath)
+        if not name.startswith("_") and not isinstance(getattr(tripath, name), types.ModuleType)
     }
     assert set(tripath.__all__) == public
     assert len(tripath.__all__) == len(set(tripath.__all__))
@@ -98,11 +99,19 @@ def test_bad_caller_input_raises_a_typed_error(call, message):
             InvalidReflectivityError,
             "rS2=Fraction",
         ),
+        (lambda: kd.profile_values_batch([[Fraction(3, 5), 0.8j, 0]]), InvalidInputError, "dtype object"),
+        (lambda: hilbert.RayState(0.6, 0.8j, 0), InvalidInputError, r"real numbers, got \(0.6, 0.8j, 0\)"),
+        (lambda: hilbert.RayState(np.complex128(0.6), 0.8, 0), InvalidInputError, "real numbers"),
+        (lambda: hilbert.normalize([0.6, 0.8j, 0]), InvalidInputError, "dtype complex128"),
+        (lambda: kd.profile_values_batch(np.array([["1", "0", "0"]])), InvalidInputError, "dtype <U1"),
+        (lambda: classify.classify_batch(np.array([["1", "0", "0"]])), InvalidInputError, "dtype <U1"),
     ],
     ids=[
         "batch-complex", "profile-batch-complex", "batch-zero-rows",
         "pattern-for-unknown-label", "pattern-for-non-string-params",
         "reflectivity-reads-zero", "reflectivity-reads-one",
+        "profile-batch-object-complex", "ray-complex", "ray-numpy-complex", "normalize-complex",
+        "profile-batch-strings", "batch-strings",
     ],
 )
 def test_edge_inputs_raise_their_typed_error(call, error, message):
@@ -128,6 +137,35 @@ def test_int_and_fraction_rays_match_their_float_rays_bit_for_bit(exact, rounded
     assert bits([kd.inequality_sum(exact)]) == bits([kd.inequality_sum(rounded)])
     got, want = classify.classify(exact), classify.classify(rounded)
     assert (got.pattern, got.labels) == (want.pattern, want.labels)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[3, 4, 0], [0, 0, -2]],
+        [[Fraction(3, 5), Fraction(4, 5), 0], [0, 0, Fraction(-1)]],
+        np.array([[0.6, 0.8, 0.0], [0.0, 0.0, -1.0]], dtype=object),
+    ],
+    ids=["int", "fraction", "object"],
+)
+def test_int_fraction_and_object_rows_convert(rows):
+    want = np.array(rows, dtype=float)
+    assert np.array_equal(kd.profile_values_batch(rows), kd.profile_values_batch(want))
+    for got, expected in zip(classify.classify_batch(rows), classify.classify_batch(want)):
+        assert np.array_equal(got, expected)
+
+
+def test_batch_tol_is_absolute_on_unnormalised_rows():
+    # rows are not normalised: scaling a row by 2 scales its KD values by 4, so tol must scale by 4
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(2000, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x[:3] = [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [1e-5, 1.0, 0.0]]  # boundary rows at the default tol and at 1e-3
+    for t in (classify.DEFAULT_TOL, 1e-6, 1e-3):
+        for got, want in zip(classify.classify_batch(2 * x, tol=4 * t), classify.classify_batch(x, tol=t)):
+            assert np.array_equal(got, want)
+    boundary, _ = classify.classify_batch(x, tol=1e-3)
+    assert 0 < boundary.sum() < len(x)
 
 
 def test_empty_batch_gives_empty_arrays():

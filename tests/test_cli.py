@@ -27,13 +27,51 @@ TEXT_GOLDENS = {
 }
 
 
-def run_cli(*args, env=None, cwd=None):
+def run_cli(*args, env=None, cwd=None, python=("-m", "tripath")):
     # the child imports the same tripath as the tests, installed or not
     env = dict(os.environ if env is None else env)
     package_root = str(Path(tripath.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "tripath", *args]
+    cmd = [sys.executable, *python, *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd)
+
+
+# Runs what python -m tripath runs, then writes the names in sys.modules
+# at exit to the file named by the first argument.
+_RECORD_MODULES = """
+import atexit, pathlib, runpy, sys
+out = pathlib.Path(sys.argv.pop(1))
+atexit.register(lambda: out.write_text("\\n".join(sorted(sys.modules))))
+runpy.run_module("tripath", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    runs = [
+        # (arguments, exit code, modules loaded, modules not loaded)
+        (["--version"], 0, {"tripath.cli"}, {"numpy"}),
+        (["--help"], 0, {"tripath.cli"}, {"numpy"}),
+        (["kd"], 1, {"tripath.cli"}, {"numpy"}),  # usage error: no state given
+        (["kd", "--state", "N_2"], 0, {"tripath.kd"}, {"tripath.atlas", "tripath.verify", "tripath.classify"}),
+        (["classify", "--state", "3"], 0, {"tripath.classify"}, {"tripath.atlas", "tripath.verify"}),
+    ]
+    for args, code, loaded, absent in runs:
+        out = tmp_path / "modules.txt"
+        proc = run_cli(str(out), *args, python=("-c", _RECORD_MODULES))
+        assert proc.returncode == code, (args, proc.stderr)
+        modules = set(out.read_text().split())
+        assert loaded <= modules, args
+        assert not absent & modules, (args, sorted(absent & modules))
+    # a star import resolves every listed name, after a bare import that loaded no submodule
+    probe = (
+        "import json, sys, tripath\n"
+        "before = sorted(m for m in sys.modules if m.startswith('tripath.'))\n"
+        "from tripath import *\n"
+        "print(json.dumps([before, [n for n in tripath.__all__ if globals().get(n) is not getattr(tripath, n)]]))\n"
+    )
+    proc = run_cli(python=("-c", probe))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_version():
