@@ -14,8 +14,6 @@ of the ten zero circles and the named states.
 
 from __future__ import annotations
 
-import csv
-import io
 import numbers
 from dataclasses import dataclass
 
@@ -33,7 +31,7 @@ from .classify import (
 from .errors import InvalidInputError, UnsupportedFormatError
 from .hilbert import circle_points
 from .interferometer import PATH_NAMES, PathSystem, _per_system, default_system, probabilities
-from .kd import KD_PAIRS, inequality_sum, kd_profile
+from .kd import KD_PAIRS, _csv_doc, inequality_sum, kd_profile
 from .states import canonical_states, joint_basis
 
 # Label index values below zero mark non-region pixels.
@@ -47,9 +45,9 @@ MAX_RESOLUTION = 16384
 # Pixels per row block of the PPM renderer, taken as whole rows.
 _BLOCK_PIXELS = 1 << 17
 # Expected run starts per row block of the sampler, which bound its
-# temporaries.  A row crosses the bands of the ten zero circles about 20
-# times, each in a window of about eps * resolution + 3 pixels, and holds
-# at most resolution run starts.
+# temporaries.  A row holds at most resolution run starts, and crosses the
+# ten bands about 20 times, each in a window of about eps * resolution + 1
+# pixels; the block counts + 3 per window, which also bounds its band arrays.
 _BLOCK_STARTS = 1 << 14
 # Rays per classify_batch call: its (10, n) float temporaries stay at 160 KB.
 _BATCH_RAYS = 1 << 11
@@ -123,17 +121,20 @@ def sample_atlas(
 
     On each row the amplitudes' closed form gives each band |A_k| < eps,
     twice classify's band radius sqrt(tol / min|<a|b>|), as a pixel range.
-    Runs start at each pixel in or next to a band, at the pixel after that
-    window and at the row start.  Path 1's band ends at the disk's rim
-    c1 = 0, so its windows hold the disk edges; only the run starts in the
-    disk go through classify_batch, and each run takes its first pixel's
-    label.  That is exact: along a run every |A_k| >= eps, so no amplitude
-    changes sign and every |rho| >= min|<a|b>| eps^2 = 4 tol.  Equal
-    neighbours in a row merge.  Rows go in blocks of about _BLOCK_STARTS
-    expected run starts, and classify_batch takes _BATCH_RAYS of them at
-    a time, so the memory held does not grow with the resolution or the
-    tol.  ``resolution`` must be an integer from 16 to MAX_RESOLUTION;
-    anything else raises InvalidInputError.
+    Runs start at each pixel in a band, at the pixel after it and at the
+    row start.  Path 1's band ends at the disk's rim c1 = 0, so its
+    windows hold the disk edges; only the run starts in the disk go
+    through classify_batch, and each run takes its first pixel's label.
+    That is exact: along a run every |A_k| >= eps, so no amplitude changes
+    sign and every |rho| >= min|<a|b>| eps^2 = 4 tol.  A pixel that float
+    rounding leaves just outside a window still has |A_k| near eps, far
+    above the band radius, so it is strict with its run start's signs: the
+    factor 2 needs no guard pixels.  Equal neighbours in a row merge.
+    Rows go in blocks of about _BLOCK_STARTS expected run starts, and
+    classify_batch takes _BATCH_RAYS of them at a time, so the memory held
+    does not grow with the resolution or the tol.  ``resolution`` must be
+    an integer from 16 to MAX_RESOLUTION; anything else raises
+    InvalidInputError.
     """
     _checked_resolution(resolution)
     if system is None:
@@ -163,13 +164,14 @@ def sample_atlas(
         start = np.mod(phi + sign * angles + 1.5 * np.pi, 2.0 * np.pi) - 1.5 * np.pi
         lo, hi = np.maximum(start, -np.pi / 2), np.minimum(start + (angles[1] - angles[0]), np.pi / 2)
         keep = lo <= hi
-        x_lo, x_hi = ((rb * np.sin(np.stack([lo, hi])) + 1.0) * (resolution / 2) - 0.5)[:, keep]
-        # runs start at each pixel of a band's window (its pixels and one on
-        # either side) and at the pixel after it: count >= 1 pixels from first,
-        # as x lies in [-0.5, resolution - 0.5]; bands holds them as flat indices
-        first = np.maximum(np.ceil(x_lo) - 1, 0).astype(int)
-        count = np.minimum(np.floor(x_hi) + 2, resolution - 1).astype(int) - first + 1
-        bands = _ranges(np.nonzero(keep)[1] * resolution + first, count)
+        row = np.nonzero(keep)[1]
+        x_lo, x_hi = (rb[row, 0] * np.sin(np.stack([lo[keep], hi[keep]])) + 1.0) * (resolution / 2) - 0.5
+        # runs start at each pixel of a band's window (its pixels and the pixel
+        # after them): count >= 0 pixels from first, as x lies in
+        # [-0.5, resolution - 0.5]; bands holds them as flat indices
+        first = np.maximum(np.ceil(x_lo), 0).astype(int)
+        count = np.minimum(np.floor(x_hi) + 1, resolution - 1).astype(int) - first + 1
+        bands = _ranges(row * resolution + first, count)
         # and at each row start.  Path 1's band (A_1 = R cos t) ends at the rim
         # t = +-pi/2, x = (1 -+ R) resolution / 2 - 0.5, so its windows hold the
         # disk edges.  Flat indices in a block fit in int32, which halves the sort
@@ -217,14 +219,17 @@ def _render_ppm(grid: AtlasGrid) -> bytearray:
     header = f"P6\n{res} {res}\n255\n".encode("ascii")
     out = bytearray(len(header) + 3 * res * res)
     out[: len(header)] = header
-    image = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(-1, 3)
+    # two stores per pixel: R and G as one little-endian 2-byte word, then B
+    red_green = np.ndarray(res * res, "<u2", buffer=out, offset=len(header), strides=3)
+    blue = np.ndarray(res * res, np.uint8, buffer=out, offset=len(header) + 2, strides=3)
     colors, lengths = table[grid.values], grid.lengths
+    rg_runs, b_runs = np.ascontiguousarray(colors[:, :2]).view("<u2")[:, 0], colors[:, 2]
     # every row starts a run, so a block of whole rows is a slice of runs
     pixels = np.append(np.arange(0, res, max(1, _BLOCK_PIXELS // res)) * res, res * res)
     runs = np.searchsorted(grid.starts, pixels)
     for a, b, i, j in zip(pixels[:-1], pixels[1:], runs[:-1], runs[1:]):
-        for c in range(3):
-            image[a:b, c] = np.repeat(colors[i:j, c], lengths[i:j])
+        red_green[a:b] = np.repeat(rg_runs[i:j], lengths[i:j])
+        blue[a:b] = np.repeat(b_runs[i:j], lengths[i:j])
     return out
 
 
@@ -263,26 +268,21 @@ def _render_svg(system: PathSystem) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _csv_doc(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def export_canonical_tables(system: PathSystem | None = None) -> dict[str, str]:
     """Reference CSV tables for the named states and the joint basis.
 
     Returns documents keyed ``probabilities``, ``kd_values``,
-    ``inequality`` and ``labels``.
+    ``inequality`` and ``labels``, built once per system; each call gets
+    its own dict.
     """
+    return dict(_canonical_tables(system))
+
+
+@_per_system
+def _canonical_tables(system: PathSystem) -> dict[str, str]:
     rows = [(s.name, s.ray) for s in (*canonical_states(system).values(), *joint_basis(system))]
 
-    prob_rows = []
-    kd_rows = []
-    ineq_rows = []
-    label_rows = []
+    prob_rows, kd_rows, ineq_rows, label_rows = [], [], [], []
     for name, ray in rows:
         probs = probabilities(ray, system)
         prob_rows.append([name] + [repr(probs[p]) for p in PATH_NAMES])

@@ -132,9 +132,8 @@ def _cmd_kd(args):
         ],
     }
     if args.csv:
-        from .atlas import _csv_doc
         header = ["state"] + [p.label for p in kd.KD_PAIRS]
-        text = _csv_doc(header, [[name] + [repr(v) for v in values]])
+        text = kd._csv_doc(header, [[name] + [repr(v) for v in values]])
         # csv ends every row with \r\n; print restores the final \n
         return doc, [text.removesuffix("\n")], 0
     lines = [f"state {name}: {_fmt_vec(ray)}"]

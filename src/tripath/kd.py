@@ -129,6 +129,16 @@ def kd_profile(psi: RayState, system: PathSystem | None = None) -> KDProfile:
     return KDProfile(state=psi, values=tuple(values.tolist()))
 
 
+def _csv_doc(header: list[str], rows: list[list]) -> str:
+    """The header and rows as one CSV document; csv loads on the first call, not with kd."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
 def decompose_outer(
     psi: RayState, i: str, system: PathSystem | None = None
 ) -> list[tuple[KDPair, float]]:

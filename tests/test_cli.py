@@ -53,6 +53,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         (["--help"], 0, {"tripath.cli"}, {"numpy"}),
         (["kd"], 1, {"tripath.cli"}, {"numpy"}),  # usage error: no state given
         (["kd", "--state", "N_2"], 0, {"tripath.kd"}, {"tripath.atlas", "tripath.verify", "tripath.classify"}),
+        (["kd", "--state", "N_2", "--csv"], 0, {"tripath.kd"}, {"tripath.atlas", "tripath.verify", "tripath.classify"}),
         (["classify", "--state", "3"], 0, {"tripath.classify"}, {"tripath.atlas", "tripath.verify"}),
     ]
     for args, code, loaded, absent in runs:
