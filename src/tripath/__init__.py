@@ -22,8 +22,7 @@ _PUBLIC = {
     "hilbert": "RayState inner normalize orthogonal_to_pair same_ray",
     "interferometer": "CONTEXTS INNER_PATHS OUTER_PATHS PATH_NAMES InterferometerSpec PathSystem build default_system"
     " probabilities verify_closure",
-    "kd": "KDPair KDProfile decompose_outer extremal_kd_on_circle inequality_sum kd_negative_bound kd_profile"
-    " max_violation",
+    "kd": "KDPair KDProfile decompose_outer inequality_sum kd_extrema kd_profile max_violation",
     "states": "canonical_states decompose_in_basis joint_basis n_state resolve_state theta_state",
     "verify": "run_checks",
 }

@@ -14,13 +14,12 @@ each occur in exactly one non-contextual photon trajectory, and five
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneratePairError, InvalidInputError, NonFiniteError, UnknownPathError, ZeroVectorError
-from .hilbert import RayState, _real_array, inner, normalize
+from .hilbert import RayState, _real_array, normalize
 from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, _amplitudes, _per_system, default_system
 
 
@@ -184,72 +183,31 @@ def max_violation(system: PathSystem | None = None) -> tuple[RayState, float]:
     return state, float(1.0 - vals[0])
 
 
-def kd_negative_bound(a: str, b: str, system: PathSystem | None = None) -> float:
-    """Largest magnitude rho(a, b) can reach on the negative side.
-
-    Equals g(1 - g)/2 with g the magnitude of the path overlap <a|b>,
-    attained on the great circle through a and b at the ray orthogonal
-    to their bisector.
-    """
-    if system is None:
-        system = default_system()
-    g = abs(inner(system.ray(a), system.ray(b)))
-    if g <= 1e-12 or g >= 1.0 - 1e-12:
-        raise DegeneratePairError(
-            f"paths {a!r} and {b!r} are orthogonal or parallel; no negative range"
-        )
-    return g * (1.0 - g) / 2.0
-
-
 @dataclass(frozen=True)
-class ExtremalScan:
-    """Extremal quasi-probability states found on a great circle scan."""
+class KDExtrema:
+    """Least and greatest rho(a, b) over all states, and the rays that reach them."""
 
     pair: tuple[str, str]
-    max_state: RayState
-    max_value: float
     min_state: RayState
     min_value: float
+    max_state: RayState
+    max_value: float
 
 
-def extremal_kd_on_circle(
-    a: str, b: str, n: int = 100_000, system: PathSystem | None = None
-) -> ExtremalScan:
-    """Scan rho(a, b) over ``n`` rays of the great circle through a and b.
+def kd_extrema(a: str, b: str, system: PathSystem | None = None) -> KDExtrema:
+    """Both extrema of rho(a, b) over the sphere, in closed form.
 
-    The extrema of rho(a, b) over the whole sphere lie on this circle, at
-    a mutually orthogonal pair of rays, so a dense scan brackets both.
-    ``n`` must be an integer of at least 4; anything else raises
-    InvalidInputError.
+    rho(a, b) is the quadratic form of M = g (a b^T + b a^T)/2 with
+    g = <a|b>, whose eigenvectors are (a + b)/|a + b|, (a - b)/|a - b| and
+    a x b.  With b signed so that g > 0, the minimum -g(1 - g)/2 lies at
+    a - b and the maximum g(1 + g)/2 at a + b, two orthogonal rays.  An
+    orthogonal or parallel pair raises DegeneratePairError.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 4:
-        raise InvalidInputError(f"scan sample count must be an integer of at least 4, got {n!r}")
     if system is None:
         system = default_system()
-    va = system.ray(a).vector
-    vb = system.ray(b).vector
+    va, vb = system.ray(a).vector, system.ray(b).vector
     g = float(va @ vb)
-    if abs(g) <= 1e-12 or abs(g) >= 1.0 - 1e-12:
-        raise DegeneratePairError(
-            f"paths {a!r} and {b!r} do not span a proper circle of distinct rays"
-        )
-    e2 = vb - g * va
-    e2 /= np.linalg.norm(e2)
-    # 4096 angles at a time bound the memory; strict comparisons keep the first extrema
-    hi = lo = None
-    for start in range(0, n, 4096):
-        angles = np.pi * np.arange(start, min(start + 4096, n)) / n  # half turn covers every ray once
-        cos, sin = np.cos(angles), np.sin(angles)
-        rho = g * (cos * (va @ va) + sin * (e2 @ va)) * (cos * g + sin * (e2 @ vb))
-        k, j = np.argmax(rho), np.argmin(rho)
-        if hi is None or rho[k] > hi[0]:
-            hi = rho[k], cos[k] * va + sin[k] * e2
-        if lo is None or rho[j] < lo[0]:
-            lo = rho[j], cos[j] * va + sin[j] * e2
-    return ExtremalScan(
-        pair=(a, b),
-        max_state=normalize(hi[1]),
-        max_value=float(hi[0]),
-        min_state=normalize(lo[1]),
-        min_value=float(lo[0]),
-    )
+    if not 1e-12 < abs(g) < 1.0 - 1e-12:
+        raise DegeneratePairError(f"paths {a!r} and {b!r} are orthogonal or parallel; no negative range")
+    vb, g = np.sign(g) * vb, abs(g)
+    return KDExtrema((a, b), normalize(va - vb), -g * (1.0 - g) / 2.0, normalize(va + vb), g * (1.0 + g) / 2.0)

@@ -161,22 +161,22 @@ def _max_violation(s: PathSystem, r: Rays):
 
 
 def _negative_bounds(s: PathSystem, r: Rays):
-    yield "bound(S1,S2)", kd.kd_negative_bound("S1", "S2", s), 1 / 8, 1e-12
+    yield "bound(S1,S2)", -kd.kd_extrema("S1", "S2", s).min_value, 1 / 8, 1e-12
     # bound(1,b) = (1 - 1/sqrt(d)) / (2 sqrt(d)), just above the theta state's negative value
     for b, d, theta, lo, hi in (("S2", 2, 1 / 10, 0.0035, 0.0036), ("f", 3, 1 / 9, 0.0105, 0.0115)):
-        bound = kd.kd_negative_bound("1", b, s)
+        bound = -kd.kd_extrema("1", b, s).min_value
         yield f"bound(1,{b})", bound, (1 / math.sqrt(d)) * (1 - 1 / math.sqrt(d)) / 2, 1e-12
         yield _inside(f"bound(1,{b}) - 1/{1 / theta:.0f}", bound - theta, lo, hi)
 
 
-def _extremal_scan(s: PathSystem, r: Rays):
-    scan = kd.extremal_kd_on_circle("S1", "S2", 100_000, s)
-    yield "scan minimum of rho(S1,S2)", scan.min_value, -1 / 8, 1e-6
-    yield _ray("scan minimizer vs theta_3", scan.min_state.vector, THETA_FORMS["theta_3"], 1e-3)
-    yield "|<minimizer|maximizer>|", abs(hilbert.inner(scan.min_state, scan.max_state)), 0.0, 1e-4
-    scan = kd.extremal_kd_on_circle("1", "f", 100_000, s)
-    yield _inside("scan |min rho(1,f)| - 1/9", abs(scan.min_value) - 1 / 9, 0.0105, 0.0115)
-    overlap = abs(hilbert.inner(scan.min_state, r["theta_D2"]))
+def _extrema(s: PathSystem, r: Rays):
+    ext = kd.kd_extrema("S1", "S2", s)
+    yield "kernel rho(S1,S2) at the minimizer", kd.kd_profile(ext.min_state, s).value("S1", "S2"), ext.min_value, 1e-15
+    yield _ray("minimizer vs theta_3", ext.min_state.vector, THETA_FORMS["theta_3"])
+    yield "|<minimizer|maximizer>|", abs(hilbert.inner(ext.min_state, ext.max_state)), 0.0, 1e-12
+    ext = kd.kd_extrema("1", "f", s)
+    yield _inside("|min rho(1,f)| - 1/9", abs(ext.min_value) - 1 / 9, 0.0105, 0.0115)
+    overlap = abs(hilbert.inner(ext.min_state, r["theta_D2"]))
     yield f"|<minimizer|theta_D2>| = {overlap!r} >= 0.98", overlap >= 0.98, True, None
 
 
@@ -275,8 +275,8 @@ _ROWS: list[tuple[str, str, str, Callable[[PathSystem, Rays], Iterable[Compariso
     ("kd/max-violation", "largest violation is sqrt(11/12) - 1/2", "violation {:.9f}", _max_violation),
     ("kd/negative-bounds", "extremal negative magnitudes per outer pair",
      "1/8 exact, 0.10355 and 0.12201 match", _negative_bounds),
-    ("kd/extremal-scan", "great circle scans find the closed form extrema",
-     "theta_3 is exactly extremal; theta_D2 nearly so", _extremal_scan),
+    ("kd/extrema", "the kernel attains the closed form extrema",
+     "theta_3 is exactly extremal; theta_D2 nearly so", _extrema),
     ("classify/path-zeros", "path states sit on the documented boundaries",
      "zero counts 4/3 and 2/4, no negatives", _path_zeros),
     ("classify/table", "sub-class table matches the documented patterns",

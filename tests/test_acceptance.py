@@ -179,16 +179,22 @@ def test_criterion_06_theta_state_tables(system, named):
 
 def test_criterion_07_extremal_bounds(system):
     problems = []
-    if abs(kd.kd_negative_bound("S1", "S2", system) - 1 / 8) > 1e-15:
-        problems.append("kd_negative_bound(S1,S2) is not 1/8")
+    if abs(kd.kd_extrema("S1", "S2", system).min_value + 1 / 8) > 1e-15:
+        problems.append("kd_extrema(S1,S2) minimum is not -1/8")
+    # independent route: rho(a, b) at 100 000 rays of the great circle through a and b
+    t = np.pi * np.arange(100_000) / 100_000
     for pair in (("1", "f"), ("1", "S2"), ("2", "f"), ("2", "S1"), ("S1", "S2")):
-        scan = kd.extremal_kd_on_circle(*pair, 100_000, system)
-        g = abs(inner(system.ray(pair[0]), system.ray(pair[1])))
-        if abs(scan.min_value + g * (1 - g) / 2) > 1e-6:
+        a, b = (system.ray(name).vector for name in pair)
+        g = a @ b
+        e = (b - g * a) / np.linalg.norm(b - g * a)
+        rays = np.outer(np.cos(t), a) + np.outer(np.sin(t), e)
+        rho = g * (rays @ a) * (rays @ b)
+        ext = kd.kd_extrema(*pair, system)
+        if abs(rho.min() - ext.min_value) > 1e-6:
             problems.append(f"scan minimum off for {pair}")
-        if abs(scan.max_value - g * (1 + g) / 2) > 1e-6:
+        if abs(rho.max() - ext.max_value) > 1e-6:
             problems.append(f"scan maximum off for {pair}")
-    _report(7, "negative bound closed form matches great-circle scans", problems)
+    _report(7, "closed-form extrema match great-circle scans", problems)
 
 
 def test_criterion_08_joint_basis(system):

@@ -9,6 +9,7 @@ import tripath
 from tripath import atlas, classify, hilbert, interferometer, kd
 from tripath.classify import ClassLabel
 from tripath.errors import (
+    DegeneratePairError,
     InvalidInputError,
     InvalidReflectivityError,
     TripathError,
@@ -41,7 +42,6 @@ def test_all_lists_exactly_the_public_names():
         (lambda: atlas.sample_atlas(True), "must be an integer"),
         (lambda: atlas.sample_atlas(atlas.MAX_RESOLUTION + 1), "at most 16384"),
         (lambda: atlas.render(None, "raster"), "needs a sampled grid"),
-        (lambda: kd.extremal_kd_on_circle("S1", "S2", n=3), "at least 4"),
         (lambda: classify.classify(hilbert.normalize([1, 0, 0]), tol=float("nan")), "non-negative"),
         (lambda: classify.classify_batch([[1.0, 0.0, 0.0]], tol=-1e-9), "non-negative"),
         (lambda: classify.classify(hilbert.normalize([1, 0, 0]), tol="1e-9"), "number, got '1e-9'"),
@@ -60,7 +60,7 @@ def test_all_lists_exactly_the_public_names():
     ids=[
         "ray-norm", "vector-shape", "atlas-resolution",
         "atlas-resolution-float", "atlas-resolution-bool", "atlas-resolution-cap",
-        "raster-grid", "scan-samples", "tol-nan", "tol-negative", "tol-string", "tol-none",
+        "raster-grid", "tol-nan", "tol-negative", "tol-string", "tol-none",
         "sign-pattern-tol-nan", "sign-pattern-tol-negative", "sign-pattern-tol-string",
         "tol-bool", "batch-tol-bool", "atlas-tol-bool", "sign-pattern-tol-bool",
         "batch-shape", "batch-row", "profile-batch-shape",
@@ -105,13 +105,15 @@ def test_bad_caller_input_raises_a_typed_error(call, message):
         (lambda: hilbert.normalize([0.6, 0.8j, 0]), InvalidInputError, "dtype complex128"),
         (lambda: kd.profile_values_batch(np.array([["1", "0", "0"]])), InvalidInputError, "dtype <U1"),
         (lambda: classify.classify_batch(np.array([["1", "0", "0"]])), InvalidInputError, "dtype <U1"),
+        (lambda: kd.kd_extrema("1", "3"), DegeneratePairError, "'1' and '3' are orthogonal or parallel"),
+        (lambda: kd.kd_extrema("1", "X"), UnknownPathError, "unknown path 'X'"),
     ],
     ids=[
         "batch-complex", "profile-batch-complex", "batch-zero-rows",
         "pattern-for-unknown-label", "pattern-for-non-string-params",
         "reflectivity-reads-zero", "reflectivity-reads-one",
         "profile-batch-object-complex", "ray-complex", "ray-numpy-complex", "normalize-complex",
-        "profile-batch-strings", "batch-strings",
+        "profile-batch-strings", "batch-strings", "extrema-degenerate-pair", "extrema-unknown-path",
     ],
 )
 def test_edge_inputs_raise_their_typed_error(call, error, message):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripath import kd
-from tripath.errors import DegeneratePairError, InvalidInputError, NonFiniteError, UnknownPathError
+from tripath.errors import DegeneratePairError, NonFiniteError, UnknownPathError
 from tripath.hilbert import RayState, inner, normalize, same_ray
 from tripath.interferometer import INNER_PATHS, OUTER_PATHS, probabilities
 from tripath.states import joint_basis
 
-from conftest import brute_force_min_inner_sum, nonzero_vec, random_unit_vectors
+from conftest import brute_force_min_inner_sum, closing_system, fibonacci_sphere, nonzero_vec, random_unit_vectors
 
 
 def test_pair_catalog():
@@ -216,43 +216,31 @@ def test_max_violation_matches_brute_force(system):
 
 
 def test_negative_bound_values(system):
-    assert kd.kd_negative_bound("S1", "S2", system) == pytest.approx(1 / 8, abs=1e-15)
+    assert -kd.kd_extrema("S1", "S2", system).min_value == pytest.approx(1 / 8, abs=1e-15)
     g = 1 / math.sqrt(2)
-    assert kd.kd_negative_bound("1", "S2", system) == pytest.approx(g * (1 - g) / 2, abs=1e-15)
+    assert -kd.kd_extrema("1", "S2", system).min_value == pytest.approx(g * (1 - g) / 2, abs=1e-15)
     g = 1 / math.sqrt(3)
-    assert kd.kd_negative_bound("1", "f", system) == pytest.approx(g * (1 - g) / 2, abs=1e-15)
+    assert -kd.kd_extrema("1", "f", system).min_value == pytest.approx(g * (1 - g) / 2, abs=1e-15)
 
 
 def test_negative_bound_degenerate(system):
     with pytest.raises(DegeneratePairError):
-        kd.kd_negative_bound("1", "3", system)  # orthogonal
+        kd.kd_extrema("1", "3", system)  # orthogonal
     with pytest.raises(DegeneratePairError):
-        kd.kd_negative_bound("f", "f", system)  # parallel
+        kd.kd_extrema("f", "f", system)  # parallel
 
 
-def test_scan_extrema_match_closed_forms(system):
-    for pair in (("1", "f"), ("1", "S2"), ("2", "f"), ("2", "S1"), ("S1", "S2")):
-        scan = kd.extremal_kd_on_circle(*pair, 100_000, system)
-        g = abs(inner(system.ray(pair[0]), system.ray(pair[1])))
-        assert scan.min_value == pytest.approx(-g * (1 - g) / 2, abs=1e-6), pair
-        assert scan.max_value == pytest.approx(g * (1 + g) / 2, abs=1e-6), pair
-        # extrema sit at orthogonal rays of the circle
-        assert abs(inner(scan.min_state, scan.max_state)) < 1e-3
-
-
-def test_scan_minimizer_is_theta3(system, named):
-    scan = kd.extremal_kd_on_circle("S1", "S2", 200_000, system)
-    assert same_ray(scan.min_state, named["theta_3"].ray, tol=1e-4)
-
-
-def test_scan_rejects_degenerate_pairs(system):
-    with pytest.raises(DegeneratePairError):
-        kd.extremal_kd_on_circle("1", "3", 1000, system)
-    with pytest.raises(ValueError):
-        kd.extremal_kd_on_circle("1", "f", 2, system)
-    for bad in (4.5, "100", None, True):
-        with pytest.raises(InvalidInputError, match="must be an integer of at least 4"):
-            kd.extremal_kd_on_circle("S1", "S2", bad, system)
+def test_extrema_bound_the_kernel_and_are_attained(system, named):
+    for s in (system, closing_system(0.3, 0.6), closing_system(0.7, 0.2)):
+        values = kd.profile_values_batch(fibonacci_sphere(20_000), s)
+        for k, pair in enumerate(kd.KD_PAIRS):
+            ext = kd.kd_extrema(pair.a, pair.b, s)
+            assert values[:, k].min() >= ext.min_value - 1e-15, pair
+            assert values[:, k].max() <= ext.max_value + 1e-15, pair
+            assert abs(kd.kd_profile(ext.min_state, s).value(pair.a, pair.b) - ext.min_value) <= 1e-15, pair
+            assert abs(kd.kd_profile(ext.max_state, s).value(pair.a, pair.b) - ext.max_value) <= 1e-15, pair
+            assert abs(inner(ext.min_state, ext.max_state)) <= 1e-15, pair
+    assert same_ray(kd.kd_extrema("S1", "S2", system).min_state, named["theta_3"].ray, tol=1e-12)
 
 
 unit_vec = st.lists(

@@ -1,19 +1,22 @@
-"""Exact integer oracles for the atlas and the classifier at the canonical spec.
+"""Exact integer oracles for the atlas and the classifier.
 
 Each path vector is an integer vector k over sqrt(d) (``verify.CLOSED_FORMS``),
 so the sign of every amplitude at a lattice ray or a pixel centre is decided
-in integer arithmetic, with no KD kernel and no cell table.
+in integer arithmetic, with no KD kernel and no cell table.  The pixel oracle
+also runs across the closing family, at specs built from integer KCBS
+pentagons.
 """
 
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
 import numpy as np
 import pytest
 
-from tripath import atlas, classify
+from tripath import atlas, classify, interferometer
 from tripath.hilbert import RayState
-from tripath.interferometer import PATH_NAMES
+from tripath.interferometer import CONTEXTS, PATH_NAMES
 from tripath.kd import KD_PAIRS
 from tripath.verify import CLOSED_FORMS
 
@@ -21,9 +24,10 @@ from tripath.verify import CLOSED_FORMS
 K = np.array([CLOSED_FORMS[name][:3] for name in PATH_NAMES], dtype=np.int64)
 
 
-def exact_pixel_codes(resolution):
+def exact_pixel_codes(k, resolution):
     """Exact amplitude signs at every pixel centre, as (codes, zero, D) arrays of shape (resolution, resolution).
 
+    ``k`` holds the ten integer path directions in PATH_NAMES order.
     Pixel (i, j) has resolution * (c1, u, v) = (sqrt(D), a, b) with
     a = 2i + 1 - resolution and b = resolution - 2j - 1, so k . (c1, u, v)
     has the sign of k1 sqrt(D) + s, s = k2 a + k3 b.  That is sign(k1)
@@ -35,7 +39,7 @@ def exact_pixel_codes(resolution):
     b = -a[:, None]  # row j has b = resolution - 2j - 1
     d = resolution * resolution - a * a - b * b
     codes, zero = np.zeros(d.shape, dtype=np.int32), np.zeros(d.shape, dtype=bool)
-    for k1, k2, k3 in K:
+    for k1, k2, k3 in k:
         s = k2 * a + k3 * b
         sign = np.sign(s) if k1 == 0 else np.where(k1 * s >= 0, 1, np.sign(k1 * k1 * d - s * s)) * np.sign(k1)
         codes = 3 * codes + sign + 1
@@ -43,13 +47,16 @@ def exact_pixel_codes(resolution):
     return codes, zero, d
 
 
-@pytest.mark.parametrize("resolution", [16, 17, 63, 255, 512, 1024])
-def test_pixel_oracle(resolution):
-    codes, zero, d = exact_pixel_codes(resolution)
+def check_pixel_oracle(k, resolution, tols, system=None, every_label=False):
+    """The atlas of ``system`` at each tol against the exact pixel signs of its integer directions ``k``.
+
+    ``every_label`` also asks that all 31 sub-classes cover a pixel centre
+    at the tols up to the default.
+    """
+    codes, zero, d = exact_pixel_codes(k, resolution)
     disk = d >= 0
-    # at tol inf every pixel is a run start, which costs 0.25 s at 1024
-    for tol in (0.0, classify.DEFAULT_TOL, 1e-3, np.inf)[: 3 if resolution > 512 else 4]:
-        labels = atlas.sample_atlas(resolution, tol).labels
+    for tol in tols:
+        labels = atlas.sample_atlas(resolution, tol, system).labels
         assert ((labels == atlas.EXTERIOR) == ~disk).all()
         boundary = labels == atlas.BOUNDARY
         if tol <= classify.DEFAULT_TOL:
@@ -64,10 +71,62 @@ def test_pixel_oracle(resolution):
         label_of, code_of = np.full(3**10, -1), np.full(len(classify.ALL_LABELS), -1)
         label_of[code], code_of[label] = label, code
         assert (label_of[code] == label).all() and (code_of[label] == code).all()
-        if tol <= classify.DEFAULT_TOL and resolution >= 255:
+        if tol <= classify.DEFAULT_TOL and every_label:
             assert (code_of >= 0).all()
         if tol == np.inf:
             assert not strict.any()
+
+
+@pytest.mark.parametrize("resolution", [16, 17, 63, 255, 512, 1024])
+def test_pixel_oracle(resolution):
+    # at tol inf every pixel is a run start, which costs 0.25 s at 1024
+    tols = (0.0, classify.DEFAULT_TOL, 1e-3, np.inf)[: 3 if resolution > 512 else 4]
+    check_pixel_oracle(K, resolution, tols, every_label=resolution >= 255)
+
+
+def pentagon(a, b, x, w):
+    """Integer directions and the Fraction spec of the closing system whose outer paths are an integer pentagon.
+
+    The outer paths 1 = e1, S1 = (0, a, b), f = (x, bw, -aw), S2 = f x e2
+    and 2 = e2 form the KCBS pentagon 1 ⊥ S1 ⊥ f ⊥ S2 ⊥ 2 ⊥ 1; each inner
+    path is the cross product of its context's two outer paths.
+    (1, 1, 1, 1) gives the canonical spec.
+    """
+    e1, e2 = np.eye(3, dtype=np.int64)[:2]
+    s1, f = np.array([0, a, b]), np.array([x, b * w, -a * w])
+    dirs = {"1": e1, "2": e2, "S1": s1, "f": f, "S2": np.cross(f, e2)}
+    for context in CONTEXTS:
+        *outer, inner = context.members
+        dirs[inner] = np.cross(dirs[outer[0]], dirs[outer[1]])
+    k = np.array([dirs[name] for name in PATH_NAMES], dtype=np.int64)
+
+    def cos2(u, v):
+        return Fraction(int(u @ v) ** 2, int(u @ u) * int(v @ v))
+
+    r1, rS1 = cos2(s1, e2), cos2(f, e1)
+    rS2 = (1 - r1) * (1 - rS1)
+    spec = interferometer.InterferometerSpec(
+        r1=r1, rS1=rS1, rf=cos2(dirs["S2"], s1), rS2=rS2, r2=1 - rS1 / (1 - rS2)
+    )
+    return k, spec
+
+
+PENTAGONS = [(1, 1, 1, 1), (1, 2, 1, 1), (2, 1, 3, 1), (3, 2, 1, 2), (1, 3, 2, 1), (2, 3, 1, 3)]
+
+
+@pytest.mark.parametrize("resolution", [63, 255])
+@pytest.mark.parametrize("abxw", PENTAGONS, ids=["-".join(map(str, p)) for p in PENTAGONS])
+def test_pixel_oracle_at_pentagons(abxw, resolution):
+    k, spec = pentagon(*abxw)
+    system = interferometer.build(spec)
+    assert interferometer.verify_closure(system, 1e-12)
+    # the cascade's float path vectors are the integer directions, up to sign
+    units = k / np.linalg.norm(k, axis=1, keepdims=True)
+    assert np.minimum(abs(system.vectors - units), abs(system.vectors + units)).max() < 1e-15
+    if abxw == (1, 1, 1, 1):
+        assert spec == interferometer.InterferometerSpec(*map(Fraction, ("1/2", "1/3", "1/4", "1/3", "1/2")))
+    # not every_label: at (3, 2, 1, 2) V(2) covers 5 pixel centres at 1024 and none at 255
+    check_pixel_oracle(k, resolution, (0.0, classify.DEFAULT_TOL, 1e-3), system)
 
 
 def primitive_rays(m):
@@ -206,7 +265,7 @@ def test_cell_areas_give_the_class_shares():
 def test_pixel_counts_approach_chart_areas(resolution):
     grid = atlas.sample_atlas(resolution)
     labels = grid.labels
-    codes = exact_pixel_codes(resolution)[0]
+    codes = exact_pixel_codes(K, resolution)[0]
     # pair each label with the one exact sign vector its pixels share
     strict = labels >= 0
     code_of = np.full(len(classify.ALL_LABELS), -1)

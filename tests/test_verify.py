@@ -14,7 +14,7 @@ from tripath import cli, verify
             {
                 "orthogonal/theta_3": "3 x f: got ",
                 "states/theta": "theta_3: got ",
-                "kd/extremal-scan": "scan minimizer vs theta_3: got ",
+                "kd/extrema": "minimizer vs theta_3: got ",
             },
         ),
     ],
