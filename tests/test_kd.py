@@ -230,7 +230,7 @@ def test_negative_bound_degenerate(system):
         kd.kd_extrema("f", "f", system)  # parallel
 
 
-def test_extrema_bound_the_kernel_and_are_attained(system, named):
+def test_extrema_bound_the_kernel_and_are_attained(system):
     for s in (system, closing_system(0.3, 0.6), closing_system(0.7, 0.2)):
         values = kd.profile_values_batch(fibonacci_sphere(20_000), s)
         for k, pair in enumerate(kd.KD_PAIRS):
@@ -240,6 +240,34 @@ def test_extrema_bound_the_kernel_and_are_attained(system, named):
             assert abs(kd.kd_profile(ext.min_state, s).value(pair.a, pair.b) - ext.min_value) <= 1e-15, pair
             assert abs(kd.kd_profile(ext.max_state, s).value(pair.a, pair.b) - ext.max_value) <= 1e-15, pair
             assert abs(inner(ext.min_state, ext.max_state)) <= 1e-15, pair
+
+
+def great_circle_scan(a, b, n, system):
+    """Kernel rho(a, b) at n rays of the great circle through rays a and b."""
+    k = next(k for k, p in enumerate(kd.KD_PAIRS) if {p.a, p.b} == {a, b})
+    va, vb = system.ray(a).vector, system.ray(b).vector
+    e = normalize(vb - (va @ vb) * va).vector
+    t = np.pi * np.arange(n) / n
+    rays = np.outer(np.cos(t), va) + np.outer(np.sin(t), e)
+    return rays, kd.profile_values_batch(rays, system)[:, k]
+
+
+def test_scan_extrema_match_closed_forms(system):
+    for pair in (("1", "f"), ("1", "S2"), ("2", "f"), ("2", "S1"), ("S1", "S2")):
+        rays, rho = great_circle_scan(*pair, 100_000, system)
+        g = abs(inner(system.ray(pair[0]), system.ray(pair[1])))
+        ext = kd.kd_extrema(*pair, system)
+        assert rho.min() == pytest.approx(-g * (1 - g) / 2, abs=1e-6), pair
+        assert rho.max() == pytest.approx(g * (1 + g) / 2, abs=1e-6), pair
+        assert ext.min_value == pytest.approx(-g * (1 - g) / 2, abs=1e-15), pair
+        assert ext.max_value == pytest.approx(g * (1 + g) / 2, abs=1e-15), pair
+        # extrema sit at orthogonal rays of the circle
+        assert abs(rays[rho.argmin()] @ rays[rho.argmax()]) < 1e-3
+
+
+def test_scan_minimizer_is_theta3(system, named):
+    rays, rho = great_circle_scan("S1", "S2", 200_000, system)
+    assert same_ray(normalize(rays[rho.argmin()]), named["theta_3"].ray, tol=1e-4)
     assert same_ray(kd.kd_extrema("S1", "S2", system).min_state, named["theta_3"].ray, tol=1e-12)
 
 
