@@ -20,14 +20,14 @@ pairs are exactly (i,k) and (j,k) for each trajectory {i, k, j}:
 (1,D2), (f,D2), (1,P1), (S2,P1), (S1,3), (S2,3), (2,P2), (S1,P2),
 (2,D1), (f,D1).
 
-The sub-class table is derived from the circles alone.  The cross
-products of the 45 path pairs give the 20 vertex rays: the ten paths and
-the five N and five theta states.  An amplitude sign vector, path 1
-positive, is a cell when the sum of the signed vertices in its closed
-cone lies strictly inside it; that sum, normalized, is the centroid.
-The centroid's KD negativity counts give the class, and the path states
-among the cell's corners the parameters, outer paths first (T drops its
-inner path).
+The sub-class table is derived from the circles alone.  They cross only
+at the 20 named states, and the contexts fix which circles hold each: a
+path state lies on those of its context mates, an N or theta state on
+those of its orthogonal_to pair.  An amplitude sign vector, path 1
+positive, is a cell when every path has a corner of its closed cone off
+that path's circle; the normalized sum of the corners is the centroid.
+Its KD negativity counts give the class, and the path states among the
+corners the parameters, outer paths first (T drops its inner path).
 
 The ten canonical pairs form the outer 5-cycle 1-f-2-S1-S2 with one
 inner path hanging off each outer path, so the KD signs fix the
@@ -52,8 +52,9 @@ import numpy as np
 
 from .errors import InvalidInputError, TableInconsistencyError, UnknownPathError, UnknownPatternError
 from .hilbert import RayState
-from .interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, _per_system, default_system
+from .interferometer import CONTEXTS, INNER_PATHS, OUTER_PATHS, PATH_NAMES, PathSystem, _per_system, default_system
 from .kd import KDProfile, _kd_kernel, _pair_geometry, profile_values_batch
+from .states import canonical_states
 
 DEFAULT_TOL = 1e-9
 
@@ -128,19 +129,25 @@ def _cell_codes(values: np.ndarray) -> np.ndarray:
 
 def _arrangement_cells(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centroids, amplitude signs and KD values of the cells, in ALL_LABELS order."""
-    paths = system.vectors
-    ia, ib = np.triu_indices(len(paths), 1)
-    vertices = np.cross(paths[ia], paths[ib])
-    vertices /= np.linalg.norm(vertices, axis=1, keepdims=True)
-    vertices = np.concatenate([vertices, -vertices])
-    vertex_amps = vertices @ paths.T
-    vertex_signs = np.sign(vertex_amps) * (np.abs(vertex_amps) > 1e-9)
+    paths, named = system.vectors, [*canonical_states(system).values()]
+    rays = np.array([state.ray.vector for state in named])
+    # which circles hold each vertex comes from the contexts, not from float zeros
+    mates = {n: {p for c in CONTEXTS if n in c.members for p in c.members if p != n} for n in PATH_NAMES}
+    on_circle = np.array([[p in mates.get(state.name, state.orthogonal_to) for p in PATH_NAMES] for state in named])
+    vertex_amps = rays @ paths.T
+    miss = np.abs(vertex_amps) * on_circle
+    if miss.max() > 1e-9:  # an open system moves the circles off the named states
+        v, p = np.unravel_index(miss.argmax(), miss.shape)
+        raise TableInconsistencyError(f"state {named[v].name} is {miss[v, p]:.3g} off the circle P({PATH_NAMES[p]}) = 0")
+    signs = np.sign(vertex_amps) * ~on_circle
+    vertices, vertex_signs = np.concatenate([rays, -rays]), np.concatenate([signs, -signs])
     # a vertex is in the closed cone when no amplitude sign disagrees
     corners = _SIGN_VECTORS @ vertex_signs.T == np.abs(vertex_signs).sum(axis=1)
+    # the cone is a cell, not an arc or a point, when its corners leave every circle
+    is_cell = (corners @ np.abs(vertex_signs) > 0).all(axis=1)
     sums = corners @ vertices
-    is_cell = (_SIGN_VECTORS * (sums @ paths.T) > 1e-9).all(axis=1)
     centroids = sums[is_cell] / np.linalg.norm(sums[is_cell], axis=1, keepdims=True)
-    corner_paths = corners[is_cell] @ (np.abs(vertex_amps) > 1 - 1e-9)
+    corner_paths = (corners[:, :10] | corners[:, 20:30])[is_cell]  # the ten path states lead the named states
     values = profile_values_batch(centroids, system)
     negatives = (values[:, :5] < 0).sum(axis=1).tolist(), (values[:, 5:] < 0).sum(axis=1).tolist()
     names = {}
@@ -182,8 +189,8 @@ class SubclassTable:
 def build_subclass_table(system: PathSystem | None = None) -> SubclassTable:
     """Compute the 31 interior sign patterns and the cell of each.
 
-    Raises TableInconsistencyError unless the circle arrangement of
-    ``system`` has exactly the 31 cells named in ALL_LABELS.
+    Raises TableInconsistencyError unless the circles of ``system`` cross
+    at its named states and cut out exactly the 31 cells of ALL_LABELS.
     """
     _, signs, values = _arrangement_cells(system)
     cell_labels = np.full(1 << 9, -1, dtype=np.int16)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +72,45 @@ def test_cells_derived_at_closing_specs():
         assert idx.tolist() == list(range(31))
 
 
-def test_open_system_table_is_refused():
-    # r1 alone breaks closure; the circles then cut out other cells
-    open_system = interferometer.build(interferometer.InterferometerSpec(r1=0.45))
-    with pytest.raises(TableInconsistencyError, match="negativity counts"):
+_log_reflectivity = st.floats(math.log(1e-6), math.log(1 - 1e-6)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_log_reflectivity, _log_reflectivity)
+def test_cells_derived_across_the_closing_family(r1, rS1):
+    # no verify_closure: near the ends of the family the cascade misses it at 1e-12 by float rounding
+    system = closing_system(r1, rS1)
+    table = classify.build_subclass_table(system)
+    assert table.labels == classify.ALL_LABELS
+    centroids = classify._arrangement_cells(system)[0]
+    # every centroid lies strictly inside its own cell: no amplitude is zero
+    assert (np.sign(centroids @ system.vectors.T) == table.cell_signs).all()
+    for label, centroid in zip(classify.ALL_LABELS, centroids):
+        result = classify.classify(normalize(centroid), system)
+        # a thin cell's centroid can carry KD values below tol; it is then a
+        # boundary ray whose label set holds its own label
+        assert label in result.labels, (r1, rS1, str(label))
+        assert result.is_boundary or result.labels == {label}, (r1, rS1, str(label))
+
+
+# r1, rS2 or rf alone breaks closure; the circles then miss the named states
+@pytest.mark.parametrize(
+    "spec",
+    [{"r1": 0.45}, {"rS2": 0.4}, {"rf": 0.3}, {"r1": 1e-300}, {"r1": 1e-17}],
+    ids=lambda spec: ",".join(f"{k}={v}" for k, v in spec.items()),
+)
+def test_open_system_table_is_refused(spec):
+    open_system = interferometer.build(interferometer.InterferometerSpec(**spec))
+    with pytest.raises(TableInconsistencyError, match=r"^state \S+ is \S+ off the circle P\(\w+\) = 0$"):
         classify.build_subclass_table(open_system)
+
+
+def test_table_builds_when_r2_alone_moves(table):
+    # the last splitter shapes only the outputs: the ten path vectors stay canonical
+    system = interferometer.build(interferometer.InterferometerSpec(r2=0.3))
+    assert not interferometer.verify_closure(system)
+    assert (system.vectors == interferometer.default_system().vectors).all()
+    assert classify.build_subclass_table(system).patterns == table.patterns
 
 
 def test_sign_pattern_and_string(system, named):

@@ -14,11 +14,13 @@ from math import gcd
 import numpy as np
 import pytest
 
-from tripath import atlas, classify, interferometer
+from tripath import atlas, classify, interferometer, states
 from tripath.hilbert import RayState
 from tripath.interferometer import CONTEXTS, PATH_NAMES
 from tripath.kd import KD_PAIRS
 from tripath.verify import CLOSED_FORMS
+
+from conftest import vertex_rays
 
 # (10, 3) integer path directions in PATH_NAMES order
 K = np.array([CLOSED_FORMS[name][:3] for name in PATH_NAMES], dtype=np.int64)
@@ -113,20 +115,44 @@ def pentagon(a, b, x, w):
 
 PENTAGONS = [(1, 1, 1, 1), (1, 2, 1, 1), (2, 1, 3, 1), (3, 2, 1, 2), (1, 3, 2, 1), (2, 3, 1, 3)]
 
+# Far along the closing family: r1 = 1/90001, r1 = 900/901 and rS1 = 1/180001.
+# At (1, 300, 1, 1) the cascade's float path vectors miss the integer units by 1.2e-15.
+FAR_PENTAGONS = [(1, 300, 1, 1), (30, 1, 1, 1), (1, 1, 1, 300)]
+
+
+def pentagon_id(abxw):
+    return "-".join(map(str, abxw))
+
 
 @pytest.mark.parametrize("resolution", [63, 255])
-@pytest.mark.parametrize("abxw", PENTAGONS, ids=["-".join(map(str, p)) for p in PENTAGONS])
-def test_pixel_oracle_at_pentagons(abxw, resolution):
+@pytest.mark.parametrize(
+    ("abxw", "bound"),
+    [(p, 1e-15) for p in PENTAGONS] + [(p, 1e-14) for p in FAR_PENTAGONS],
+    ids=map(pentagon_id, PENTAGONS + FAR_PENTAGONS),
+)
+def test_pixel_oracle_at_pentagons(abxw, bound, resolution):
     k, spec = pentagon(*abxw)
     system = interferometer.build(spec)
     assert interferometer.verify_closure(system, 1e-12)
     # the cascade's float path vectors are the integer directions, up to sign
     units = k / np.linalg.norm(k, axis=1, keepdims=True)
-    assert np.minimum(abs(system.vectors - units), abs(system.vectors + units)).max() < 1e-15
+    assert np.minimum(abs(system.vectors - units), abs(system.vectors + units)).max() < bound
     if abxw == (1, 1, 1, 1):
         assert spec == interferometer.InterferometerSpec(*map(Fraction, ("1/2", "1/3", "1/4", "1/3", "1/2")))
     # not every_label: at (3, 2, 1, 2) V(2) covers 5 pixel centres at 1024 and none at 255
     check_pixel_oracle(k, resolution, (0.0, classify.DEFAULT_TOL, 1e-3), system)
+
+
+@pytest.mark.parametrize("abxw", PENTAGONS + FAR_PENTAGONS, ids=pentagon_id)
+def test_circles_cross_at_the_named_states(abxw):
+    # the sub-class table takes its vertices from the named states: check
+    # them against the crossings of the ten zero circles, found from cross products
+    system = interferometer.build(pentagon(*abxw)[1])
+    crossings = vertex_rays(system)
+    named = np.array([s.ray.vector for s in states.canonical_states(system).values()])
+    assert len(crossings) == len(named) == 20
+    distance = np.minimum(abs(named[:, None] - crossings), abs(named[:, None] + crossings)).max(axis=2)
+    assert distance.min(axis=1).max() < 1e-14 and distance.min(axis=0).max() < 1e-14
 
 
 def primitive_rays(m):
