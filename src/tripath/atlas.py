@@ -42,8 +42,9 @@ EXTERIOR = -2
 # with the resolution.
 MAX_RESOLUTION = 16384
 
-# Pixels per row block of the PPM renderer, taken as whole rows.
-_BLOCK_PIXELS = 1 << 17
+# Pixels per row block of the PPM renderer, taken as whole rows; a block's
+# 4-byte pixel words take 256 KB.
+_BLOCK_PIXELS = 1 << 16
 # Expected run starts per row block of the sampler, which bound its
 # temporaries.  A row holds at most resolution run starts, and crosses the
 # ten bands about 20 times, each in a window of about eps * resolution + 1
@@ -146,36 +147,37 @@ def sample_atlas(
     tol = _checked_tol(tol)
     eps = 2.0 * _band_radius(system, tol)
     centers = (np.arange(resolution) + 0.5) * 2.0 / resolution - 1.0
-    v = -centers  # row y lies at height v[y], row 0 at v = +1
-    radius = np.sqrt(1.0 - v * v)
     sign = np.array([1.0, -1.0])[:, None, None]
     runs = []
     # past eps = 1 the windows fill every row, and an infinite tol has no int
     rows = max(1, _BLOCK_STARTS // min(20 * (int(min(eps, 1.0) * resolution) + 3), resolution))
     for top in range(0, resolution, rows):
-        vb, rb = v[top : top + rows, None], radius[top : top + rows, None]
+        vb = -centers[top : top + rows, None]  # row y lies at height -centers[y], row 0 at v = +1
+        rb = np.sqrt(1.0 - vb * vb)
         # cos(t - phi) bounds of the band |A_k| < eps; path 3 has m = 0, and
         # its band fills the row when |k3 v| < eps and misses it otherwise
         bounds, scale = sign * eps - k3 * vb, rb * m
         cosines = np.divide(bounds, scale, out=np.copysign(2.0, bounds), where=scale > 0)
         angles = np.arccos(np.clip(cosines, -1.0, 1.0))  # near, far
         # t - phi in [near, far] or [-far, -near]: wrap each start into
-        # [-3pi/2, pi/2) and cut the band to the row, t in [-pi/2, pi/2]
-        start = np.mod(phi + sign * angles + 1.5 * np.pi, 2.0 * np.pi) - 1.5 * np.pi
+        # [-3pi/2, pi/2) and cut the band to the row, t in [-pi/2, pi/2]; as
+        # phi + sign angles lies in (-2pi, 2pi], a start moves one turn at most
+        w = phi + sign * angles + 1.5 * np.pi
+        start = np.where(w < 0, w + 2 * np.pi, np.where(w >= 2 * np.pi, w - 2 * np.pi, w)) - 1.5 * np.pi
         lo, hi = np.maximum(start, -np.pi / 2), np.minimum(start + (angles[1] - angles[0]), np.pi / 2)
         keep = lo <= hi
         row = np.nonzero(keep)[1]
         x_lo, x_hi = (rb[row, 0] * np.sin(np.stack([lo[keep], hi[keep]])) + 1.0) * (resolution / 2) - 0.5
         # runs start at each pixel of a band's window (its pixels and the pixel
         # after them): count >= 0 pixels from first, as x lies in
-        # [-0.5, resolution - 0.5]; bands holds them as flat indices
+        # [-0.5, resolution - 0.5]; cuts holds them as flat indices
         first = np.maximum(np.ceil(x_lo), 0).astype(int)
         count = np.minimum(np.floor(x_hi) + 1, resolution - 1).astype(int) - first + 1
-        bands = _ranges(row * resolution + first, count)
-        # and at each row start.  Path 1's band (A_1 = R cos t) ends at the rim
+        # and each row start.  Path 1's band (A_1 = R cos t) ends at the rim
         # t = +-pi/2, x = (1 -+ R) resolution / 2 - 0.5, so its windows hold the
         # disk edges.  Flat indices in a block fit in int32, which halves the sort
-        cuts = np.concatenate([bands, np.arange(0, len(vb) * resolution + 1, resolution)], dtype=np.int32)
+        row_starts = np.arange(0, len(vb) * resolution + 1, resolution)
+        cuts = np.concatenate([_ranges(row * resolution + first, count), row_starts], dtype=np.int32)
         cuts.sort()
         # the block's end is the largest cut; the others, without repeats, are the run starts
         starts = cuts[:-1][cuts[1:] != cuts[:-1]]
@@ -183,12 +185,13 @@ def sample_atlas(
         x = starts - y * resolution
         # a pixel lies in the disk when its center has c^2 + v^2 <= 1
         c, h = centers.take(x), vb.take(y)
-        inside = c * c + h * h <= 1.0
-        disk, rays = np.flatnonzero(inside), lift(c[inside], h[inside])
+        disk = np.flatnonzero(c * c + h * h <= 1.0)
         values = np.full(len(starts), EXTERIOR, dtype=np.int16)
-        # classify_batch gives boundary rays the index -1, which is BOUNDARY
+        # classify_batch gives boundary rays the index -1, which is BOUNDARY;
+        # each chunk lifts its own rays, so no (n, 3) array holds the block's
         for at in range(0, len(disk), _BATCH_RAYS):
-            values[disk[at : at + _BATCH_RAYS]] = classify_batch(rays[at : at + _BATCH_RAYS], system, tol)[1]
+            part = disk[at : at + _BATCH_RAYS]
+            values[part] = classify_batch(lift(c[part], h[part]), system, tol)[1]
         # equal neighbours merge, and every row start stays
         keep = x == 0
         keep[1:] |= values[1:] != values[:-1]
@@ -217,19 +220,20 @@ def _render_ppm(grid: AtlasGrid) -> bytearray:
     table = np.concatenate([PALETTE, np.uint8([[255, 255, 255], [0, 0, 0]])])  # rows -2, -1: EXTERIOR, BOUNDARY
     res = grid.resolution
     header = f"P6\n{res} {res}\n255\n".encode("ascii")
-    out = bytearray(len(header) + 3 * res * res)
+    # one store per pixel: R | G << 8 | B << 16 as a little-endian 4-byte word,
+    # written in address order, so the next pixel's red overwrites each spare
+    # byte; the last one falls on a byte past the PPM, dropped at the end
+    out = bytearray(len(header) + 3 * res * res + 1)
     out[: len(header)] = header
-    # two stores per pixel: R and G as one little-endian 2-byte word, then B
-    red_green = np.ndarray(res * res, "<u2", buffer=out, offset=len(header), strides=3)
-    blue = np.ndarray(res * res, np.uint8, buffer=out, offset=len(header) + 2, strides=3)
-    colors, lengths = table[grid.values], grid.lengths
-    rg_runs, b_runs = np.ascontiguousarray(colors[:, :2]).view("<u2")[:, 0], colors[:, 2]
+    pixel = np.ndarray(res * res, "<u4", buffer=out, offset=len(header), strides=3)
+    words, lengths = np.pad(table, ((0, 0), (0, 1))).view("<u4")[grid.values, 0], grid.lengths
     # every row starts a run, so a block of whole rows is a slice of runs
     pixels = np.append(np.arange(0, res, max(1, _BLOCK_PIXELS // res)) * res, res * res)
     runs = np.searchsorted(grid.starts, pixels)
     for a, b, i, j in zip(pixels[:-1], pixels[1:], runs[:-1], runs[1:]):
-        red_green[a:b] = np.repeat(rg_runs[i:j], lengths[i:j])
-        blue[a:b] = np.repeat(b_runs[i:j], lengths[i:j])
+        pixel[a:b] = np.repeat(words[i:j], lengths[i:j])
+    del pixel  # release the view, so the bytearray can shrink
+    del out[-1]
     return out
 
 

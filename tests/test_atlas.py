@@ -175,6 +175,7 @@ def traced_peak(call):
         pytest.param(2048, classify.DEFAULT_TOL, 4, id="2048"),
         pytest.param(4096, classify.DEFAULT_TOL, 4, id="4096"),
         pytest.param(8192, classify.DEFAULT_TOL, 4, id="8192"),
+        pytest.param(16384, classify.DEFAULT_TOL, 4, id="16384"),
         # nearly every pixel starts a run and goes through classify_batch
         pytest.param(2048, 1e-3, 4, id="2048-tol1e-3"),
     ],
@@ -248,9 +249,13 @@ def test_raster_output_shape(grid):
     assert len(ppm) == len(header) + 3 * grid.resolution**2
 
 
-@pytest.mark.parametrize("resolution, closing", [(17, False), (64, False), (301, False), (301, True)])
+@pytest.mark.parametrize(
+    "resolution, closing", [(17, False), (64, False), (301, False), (301, True), (1031, False)]
+)
 def test_raster_matches_a_palette_lookup(system, resolution, closing):
-    # odd sizes put the 2-byte red-green stores on every byte phase
+    # odd sizes put the 4-byte pixel stores on every byte phase; 1031 paints
+    # sixteen blocks of 63 rows and a last one of 23, so it checks the block
+    # seams and the last pixel, whose spare byte falls past the PPM
     if closing:
         system = closing_system(0.4, 0.3)
     grid = atlas.sample_atlas(resolution, system=system)

@@ -4,7 +4,8 @@ Each path vector is an integer vector k over sqrt(d) (``verify.CLOSED_FORMS``),
 so the sign of every amplitude at a lattice ray or a pixel centre is decided
 in integer arithmetic, with no KD kernel and no cell table.  The pixel oracle
 also runs across the closing family, at specs built from integer KCBS
-pentagons.
+pentagons, where every KD value and path probability of a lattice ray is
+an exact rational that the float kernel is checked against.
 """
 
 from fractions import Fraction
@@ -14,9 +15,9 @@ from math import gcd
 import numpy as np
 import pytest
 
-from tripath import atlas, classify, interferometer, states
+from tripath import atlas, classify, interferometer, kd, states
 from tripath.hilbert import RayState
-from tripath.interferometer import CONTEXTS, PATH_NAMES
+from tripath.interferometer import CONTEXTS, INNER_PATHS, PATH_NAMES
 from tripath.kd import KD_PAIRS
 from tripath.verify import CLOSED_FORMS
 
@@ -161,6 +162,33 @@ def primitive_rays(m):
         x for x in product(range(-m, m + 1), repeat=3)
         if gcd(*x) == 1 and next(c for c in x if c) > 0
     ])
+
+
+def exact_rho(a, b, psi):
+    """rho(a, b) = (a.b)(a.psi)(psi.b) / (|a|^2 |b|^2 |psi|^2) at integer vectors, as a Fraction; rho(a, a) is P(a)."""
+    return Fraction(int(a @ b) * int(a @ psi) * int(psi @ b), int(a @ a) * int(b @ b) * int(psi @ psi))
+
+
+@pytest.mark.parametrize("abxw", PENTAGONS, ids=pentagon_id)
+def test_kernel_matches_exact_rationals(abxw):
+    # at an integer pentagon every path is an integer direction, and rho is
+    # even in each of a and b, so the cascade's signs do not matter
+    k, spec = pentagon(*abxw)
+    system = interferometer.build(spec)
+    dirs = dict(zip(PATH_NAMES, k))
+    rays = np.array([x for x in product(range(-3, 4), repeat=3) if any(x)])  # all 342 nonzero
+    units = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    profiles = kd.profile_values_batch(units, system).tolist()
+    for psi, u, profile in zip(rays, units.tolist(), profiles):
+        state = RayState(*u)
+        want = [exact_rho(dirs[p.a], dirs[p.b], psi) for p in KD_PAIRS]
+        assert max(abs(Fraction(got) - w) for got, w in zip(profile, want)) < 1e-15, psi
+        probs = {name: exact_rho(d, d, psi) for name, d in dirs.items()}
+        got = interferometer.probabilities(state, system)
+        assert max(abs(Fraction(got[name]) - p) for name, p in probs.items()) < 1e-15, psi
+        # the inner sum reaches 3, and five roundings add up: its bound is relative
+        inner = sum(probs[name] for name in INNER_PATHS)
+        assert abs(Fraction(kd.inequality_sum(state, system)) - inner) < 1e-15 * inner, psi
 
 
 def test_lattice_oracle():
