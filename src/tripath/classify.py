@@ -120,11 +120,14 @@ _CLASS_OF_SIGNATURE = {counts: cls for cls, counts in NEGATIVITY_SIGNATURE.items
 
 # Every amplitude sign vector with the path 1 sign fixed at +1.
 _SIGN_VECTORS = np.array([(1.0, *signs) for signs in product((1.0, -1.0), repeat=9)])
+# Weights 2^0 .. 2^8 of the first nine KD signs in a cell code, from Python
+# ints: a first np.power call at import would page in 128 KB of numpy.
+_CODE_WEIGHTS = np.array([1 << i for i in range(9)], dtype=float)
 
 
 def _cell_codes(values: np.ndarray) -> np.ndarray:
-    """Cell code of each column of strict paths-major KD values: the signs of the first nine pairs."""
-    return (1 << np.arange(9, dtype=np.int16)) @ (values[:9] > 0).astype(np.int16)
+    """Cell code of each column of strict paths-major KD values, as intp: the signs of the first nine pairs."""
+    return (_CODE_WEIGHTS @ (values[:9] > 0)).astype(np.intp)
 
 
 def _arrangement_cells(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,6 +210,8 @@ def build_subclass_table(system: PathSystem | None = None) -> SubclassTable:
 
 def _checked_tol(tol: float) -> float:
     """``tol`` raised to TOL_FLOOR, inf past floats; a non-number, NaN or negative value raises InvalidInputError."""
+    if type(tol) is float and tol >= TOL_FLOOR:  # the common case, without the numbers.Real check
+        return tol
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:  # also rejects NaN
         raise InvalidInputError(f"tol must be a non-negative number, got {tol!r}")
     try:
@@ -255,7 +260,7 @@ def classify(
         system = default_system()
     tol = _checked_tol(tol)
     table = build_subclass_table(system)
-    amps, values = _kd_kernel(psi.vector[None, :], system)
+    amps, values = _kd_kernel(psi, system)
     pattern = _signs(values[:, 0].tolist(), tol)
     if 0 in pattern:
         fixed = np.abs(amps[:, 0]) > _band_radius(system, tol)

@@ -145,22 +145,26 @@ def verify_closure(system: PathSystem, tol: float = 1e-12) -> bool:
     )
 
 
-def _amplitudes(vectors: np.ndarray, system: PathSystem | None = None) -> np.ndarray:
-    """Path amplitudes <path|psi> of unchecked (n, 3) rows, paths-major: row k holds path PATH_NAMES[k].
+def _amplitudes(psi: RayState | np.ndarray, system: PathSystem | None = None) -> np.ndarray:
+    """Path amplitudes <path|psi>, paths-major: row k holds path PATH_NAMES[k], one column per ray.
 
-    kd.profile_values_batch checks batch input; a RayState is finite by construction.
+    ``psi`` is one RayState, finite by construction, or unchecked (n, 3)
+    rows, which kd.profile_values_batch checks.
     """
     paths = (default_system() if system is None else system).vectors
-    vectors = np.asarray(vectors, dtype=float)  # int and Fraction rays convert
+    # A one-column product runs through BLAS gemv, whose last bits differ
+    # from the gemm used for two or more columns; two equal columns keep
+    # every value independent of the batch size.
+    if isinstance(psi, RayState):
+        c1, c2, c3 = psi.c1, psi.c2, psi.c3
+        return (paths @ np.array(((c1, c1), (c2, c2), (c3, c3)), dtype=float))[:, :1]  # int and Fraction rays convert
+    vectors = np.asarray(psi, dtype=float)
     if len(vectors) == 1:
-        # A one-row product runs through BLAS gemv, whose last bits differ
-        # from the gemm used for two or more rows; a doubled row keeps
-        # every value independent of the batch size.
         return (paths @ np.concatenate([vectors, vectors]).T)[:, :1]
     return paths @ vectors.T
 
 
 def probabilities(psi: RayState, system: PathSystem | None = None) -> dict[str, float]:
     """Detection probability of every path for the state ``psi``."""
-    amps = _amplitudes(psi.vector[None, :], system)[:, 0]
+    amps = _amplitudes(psi, system)[:, 0]
     return dict(zip(PATH_NAMES, (amps * amps).tolist()))

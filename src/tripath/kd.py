@@ -52,7 +52,7 @@ KD_PAIRS = (
 )
 
 _PAIR_INDEX = {frozenset((p.a, p.b)): i for i, p in enumerate(KD_PAIRS)}
-_INNER_ROWS = [PATH_NAMES.index(k) for k in INNER_PATHS]
+_INNER_ROWS = np.array([PATH_NAMES.index(k) for k in INNER_PATHS])
 
 # Per outer path, the context whose completeness turns three KD values
 # into the path probability; terms listed with the trajectory pair last.
@@ -89,12 +89,12 @@ def _pair_geometry(system: PathSystem) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return ia, ib, overlaps
 
 
-def _kd_kernel(vectors: np.ndarray, system: PathSystem | None) -> tuple[np.ndarray, np.ndarray]:
-    """Path amplitudes (10 x n, PATH_NAMES order) and KD values (10 x n, KD_PAIRS order) of many rows."""
+def _kd_kernel(psi: RayState | np.ndarray, system: PathSystem | None) -> tuple[np.ndarray, np.ndarray]:
+    """Path amplitudes (10 x n, PATH_NAMES order) and KD values (10 x n, KD_PAIRS order) of n rows or one RayState."""
     if system is None:
         system = default_system()
     ia, ib, overlaps = _pair_geometry(system)
-    amps = _amplitudes(vectors, system)
+    amps = _amplitudes(psi, system)
     values = amps[ia]
     values *= overlaps[:, None]
     values *= amps[ib]
@@ -124,7 +124,7 @@ def profile_values_batch(vectors: np.ndarray, system: PathSystem | None = None) 
 
 def kd_profile(psi: RayState, system: PathSystem | None = None) -> KDProfile:
     """All ten canonical quasi-probabilities of ``psi``: one column of the batch kernel."""
-    values = _kd_kernel(psi.vector[None, :], system)[1][:, 0]
+    values = _kd_kernel(psi, system)[1][:, 0]
     return KDProfile(state=psi, values=tuple(values.tolist()))
 
 
@@ -158,7 +158,7 @@ def inequality_sum(psi: RayState, system: PathSystem | None = None) -> float:
     Any assignment of one definite path per context forces this sum to
     at least 1; quantum states can dip below.
     """
-    amps = _amplitudes(psi.vector[None, :], system)[_INNER_ROWS, 0]
+    amps = _amplitudes(psi, system)[_INNER_ROWS, 0]
     return float(sum((amps * amps).tolist()))
 
 

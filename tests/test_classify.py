@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,28 @@ def test_cell_table(system, table):
             for p in kd.KD_PAIRS
         )
         assert rebuilt == pattern, str(label)
+
+
+def test_cell_codes_of_every_sign_vector(system, table, rng):
+    # all 512 signs of the first nine KD values, each with both signs of the tenth
+    signs = np.array(list(product((1.0, -1.0), repeat=10))).T
+    values = signs * rng.uniform(1e-3, 1.0, size=signs.shape)
+    want = [sum(1 << i for i in range(9) if column[i] > 0) for column in values.T]
+    codes = classify._cell_codes(values)
+    assert codes.dtype == np.intp
+    assert codes.tolist() == want
+    assert [classify._cell_codes(values[:, k : k + 1]).tolist() for k in range(len(want))] == [[w] for w in want]
+    assert classify._cell_codes(np.zeros((10, 1))).tolist() == [0]  # a zero sets no bit
+
+    def int16_codes(v):
+        return (1 << np.arange(9, dtype=np.int16)) @ (v[:9] > 0).astype(np.int16)
+
+    assert int16_codes(values).tolist() == want
+    # the table as the int16 formula built it
+    cell_labels = np.full(1 << 9, -1, dtype=np.int16)
+    cell_labels[int16_codes(classify._arrangement_cells(system)[2].T)] = np.arange(len(classify.ALL_LABELS))
+    assert table.cell_labels.dtype == np.int16
+    assert table.cell_labels.tolist() == cell_labels.tolist()
 
 
 def test_subclass_table_is_read_only(system, table):

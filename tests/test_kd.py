@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tripath import kd
 from tripath.errors import DegeneratePairError, NonFiniteError, UnknownPathError
 from tripath.hilbert import RayState, inner, normalize, same_ray
-from tripath.interferometer import INNER_PATHS, OUTER_PATHS, probabilities
+from tripath.interferometer import INNER_PATHS, OUTER_PATHS, PATH_NAMES, _amplitudes, probabilities
 from tripath.states import joint_basis
 
 from conftest import brute_force_min_inner_sum, closing_system, fibonacci_sphere, nonzero_vec, random_unit_vectors
@@ -54,19 +54,27 @@ def test_profile_batch_matches_loop(system, rng):
 
 
 def test_kernel_rows_do_not_depend_on_batch_size(system, rng, named):
-    # bit for bit: a one-row call, a row of a large batch and kd_profile agree,
-    # on random rays and on the named states, which sit on the zero circles
+    # bit for bit: a one-row call, a row of a large batch and the single-state
+    # calls agree, on random rays and on the named states, which sit on the
+    # zero circles
     named_rows = [s.ray.vector for s in named.values()]
     named_rows += [b.ray.vector for b in joint_basis(system)]
     vectors = np.concatenate([random_unit_vectors(rng, 300), named_rows])
     for n in (1, 2, 3, len(vectors)):
         assert kd.profile_values_batch(vectors[:n], system).shape == (n, 10)
     batch = kd.profile_values_batch(vectors, system)
+    amps = _amplitudes(vectors, system).T
+    squares = amps * amps
+    inner_rows = [PATH_NAMES.index(k) for k in INNER_PATHS]
     for k, v in enumerate(vectors):
         single = kd.profile_values_batch(vectors[k : k + 1], system)[0]
-        profile = kd.kd_profile(RayState(*v), system)
+        psi = RayState(*v)
+        profile = kd.kd_profile(psi, system)
         assert single.tobytes() == batch[k].tobytes()
         assert np.array(profile.values).tobytes() == batch[k].tobytes()
+        probs = probabilities(psi, system)
+        assert np.array([probs[p] for p in PATH_NAMES]).tobytes() == squares[k].tobytes()
+        assert kd.inequality_sum(psi, system).hex() == sum(squares[k, inner_rows].tolist()).hex()
 
 
 def test_batch_names_non_finite_rows(system):
