@@ -32,7 +32,7 @@ from .errors import InvalidInputError, UnsupportedFormatError
 from .hilbert import circle_points
 from .interferometer import PATH_NAMES, PathSystem, _per_system, default_system, probabilities
 from .kd import KD_PAIRS, _csv_doc, inequality_sum, kd_profile
-from .states import canonical_states, joint_basis
+from .states import _named_states, canonical_states
 
 # Label index values below zero mark non-region pixels.
 BOUNDARY = -1
@@ -284,10 +284,9 @@ def export_canonical_tables(system: PathSystem | None = None) -> dict[str, str]:
 
 @_per_system
 def _canonical_tables(system: PathSystem) -> dict[str, str]:
-    rows = [(s.name, s.ray) for s in (*canonical_states(system).values(), *joint_basis(system))]
-
     prob_rows, kd_rows, ineq_rows, label_rows = [], [], [], []
-    for name, ray in rows:
+    for name, state in _named_states(system)[0].items():
+        ray = state.ray
         probs = probabilities(ray, system)
         prob_rows.append([name] + [repr(probs[p]) for p in PATH_NAMES])
         profile = kd_profile(ray, system)

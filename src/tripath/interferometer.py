@@ -27,14 +27,6 @@ PATH_NAMES = ("1", "2", "3", "S1", "D1", "f", "P1", "P2", "S2", "D2")
 OUTER_PATHS = ("1", "2", "S1", "f", "S2")
 INNER_PATHS = ("3", "D1", "P1", "P2", "D2")
 
-# Each inner path k pairs with the pentagon corner across from its
-# context: the one outer path that shares a context with neither outer
-# member of k's context.
-OPPOSITE_OUTER = {"3": "f", "D1": "S2", "P1": "2", "P2": "1", "D2": "S1"}
-
-# Cyclic order of the outer paths around the pentagram rim.
-OUTER_CYCLE = ("1", "S1", "f", "S2", "2")
-
 
 @dataclass(frozen=True)
 class Context:

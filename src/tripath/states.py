@@ -2,7 +2,9 @@
 
 Every state here is constructed from two orthogonality conditions, never
 from hard coded component lists, so each closed form below is a
-consequence of the path geometry rather than an input.
+consequence of the path geometry rather than an input.  ``DEFINITIONS``
+is where each derived state is defined: it names the two states it is
+orthogonal to.
 
 Three families:
 
@@ -10,8 +12,9 @@ Three families:
   paths whose opposite outer paths neighbor i on the pentagram rim.
   These are the corners of the pentagon of maximal inequality violation.
 * ``theta_k`` (one per inner path k): zero probability on k and on the
-  opposite outer path.  These are quasiclassical: four joint
-  quasi-probabilities carry all the weight and reproduce four path
+  opposite outer path, the one outer path that shares a context with
+  neither outer member of k's context.  These are quasiclassical: four
+  joint quasi-probabilities carry all the weight and reproduce four path
   probabilities exactly.
 * A three state orthonormal basis of strongly nonclassical states,
   usable as a joint measurement.
@@ -24,24 +27,42 @@ state and fails the defining D2 orthogonality, so it is rejected here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import UnknownPathError
 from .hilbert import RayState, inner, orthogonal_to_pair
 from .interferometer import (
     CONTEXTS,
     INNER_PATHS,
-    OPPOSITE_OUTER,
-    OUTER_CYCLE,
     OUTER_PATHS,
     PATH_NAMES,
     PathSystem,
     _per_system,
-    default_system,
     probabilities,
 )
 
-N_STATE_ORDER = ("N_f", "N_1", "N_S2", "N_S1", "N_2")
-THETA_ORDER = ("theta_3", "theta_D1", "theta_P1", "theta_P2", "theta_D2")
+# Each derived state, in build order, and the two states it is orthogonal to.
+DEFINITIONS = MappingProxyType({
+    "N_f": ("D2", "D1"),
+    "N_1": ("P1", "D2"),
+    "N_S2": ("3", "P1"),
+    "N_S1": ("P2", "3"),
+    "N_2": ("D1", "P2"),
+    "theta_3": ("3", "f"),
+    "theta_D1": ("D1", "S2"),
+    "theta_P1": ("P1", "2"),
+    "theta_P2": ("P2", "1"),
+    "theta_D2": ("D2", "S1"),
+    "Q(S2,D1)": ("N_S2", "theta_D1"),
+    "T(2,S1)": ("Q(S2,D1)", "1"),
+    "T(1,f)": ("Q(S2,D1)", "T(2,S1)"),
+})
+
+N_STATE_ORDER = tuple(name for name in DEFINITIONS if name.startswith("N_"))
+THETA_ORDER = tuple(name for name in DEFINITIONS if name.startswith("theta_"))
+_CANONICAL = len(PATH_NAMES) + len(N_STATE_ORDER) + len(THETA_ORDER)  # the joint basis follows
 
 
 @dataclass(frozen=True)
@@ -53,13 +74,24 @@ class NamedState:
     orthogonal_to: tuple[str, str]
 
 
-def _outer_neighbors(i: str) -> tuple[str, str]:
-    idx = OUTER_CYCLE.index(i)
-    n = len(OUTER_CYCLE)
-    return OUTER_CYCLE[(idx - 1) % n], OUTER_CYCLE[(idx + 1) % n]
+def _path_definition(name: str) -> tuple[str, str]:
+    """The paths of the other kind, inner or outer, that share a context with ``name``."""
+    other = OUTER_PATHS if name in INNER_PATHS else INNER_PATHS
+    pair = (p for c in CONTEXTS if name in c.members for p in c.members if p in other)
+    return tuple(pair)  # type: ignore[return-value]
 
 
-_OPPOSITE_INNER = {v: k for k, v in OPPOSITE_OUTER.items()}
+@_per_system
+def _named_states(system: PathSystem) -> tuple[Mapping[str, NamedState], tuple[NamedState, ...]]:
+    """All 23 named states by name, the ten paths and then ``DEFINITIONS`` in order, and the joint basis.
+
+    The joint basis is the last three.  One memo holds both, so a basis
+    state is one object in each, whichever systems the cache evicts.
+    """
+    named = {name: NamedState(name, system.ray(name), _path_definition(name)) for name in PATH_NAMES}
+    for name, (a, b) in DEFINITIONS.items():
+        named[name] = NamedState(name, orthogonal_to_pair(named[a].ray, named[b].ray), (a, b))
+    return MappingProxyType(named), tuple(named.values())[_CANONICAL:]
 
 
 def n_state(i: str, system: PathSystem | None = None) -> NamedState:
@@ -70,39 +102,23 @@ def n_state(i: str, system: PathSystem | None = None) -> NamedState:
     """
     if i not in OUTER_PATHS:
         raise UnknownPathError(f"n_state expects an outer path, got {i!r}")
-    if system is None:
-        system = default_system()
-    a, b = (_OPPOSITE_INNER[n] for n in _outer_neighbors(i))
-    ray = orthogonal_to_pair(system.ray(a), system.ray(b))
-    return NamedState(f"N_{i}", ray, (a, b))
+    return _named_states(system)[0][f"N_{i}"]
 
 
 def theta_state(k: str, system: PathSystem | None = None) -> NamedState:
     """Quasiclassical state orthogonal to inner path ``k`` and its opposite outer path."""
     if k not in INNER_PATHS:
         raise UnknownPathError(f"theta_state expects an inner path, got {k!r}")
-    if system is None:
-        system = default_system()
-    partner = OPPOSITE_OUTER[k]
-    ray = orthogonal_to_pair(system.ray(k), system.ray(partner))
-    return NamedState(f"theta_{k}", ray, (k, partner))
+    return _named_states(system)[0][f"theta_{k}"]
 
 
-@_per_system
 def joint_basis(system: PathSystem | None = None) -> tuple[NamedState, NamedState, NamedState]:
     """Orthonormal basis of one Q sub-class state and two T sub-class states.
 
     Projective measurement in this basis certifies membership in the
     corresponding strongly nonclassical sub-classes with high fidelity.
     """
-    q = orthogonal_to_pair(n_state("S2", system).ray, theta_state("D1", system).ray)
-    t2s1 = orthogonal_to_pair(q, system.ray("1"))
-    t1f = orthogonal_to_pair(q, t2s1)
-    return (
-        NamedState("Q(S2,D1)", q, ("N_S2", "theta_D1")),
-        NamedState("T(2,S1)", t2s1, ("Q(S2,D1)", "1")),
-        NamedState("T(1,f)", t1f, ("Q(S2,D1)", "T(2,S1)")),
-    )
+    return _named_states(system)[1]  # type: ignore[return-value]
 
 
 def decompose_in_basis(psi: RayState, system: PathSystem | None = None) -> tuple[float, float, float]:
@@ -117,24 +133,7 @@ def hardy_value(i: str, system: PathSystem | None = None) -> float:
     Nonzero despite both interferometer detectors behind i being dark,
     which is the single-state paradox carried by each pentagon corner.
     """
-    state = n_state(i, system)
-    return probabilities(state.ray, system)[i]
-
-
-def _path_definition(name: str) -> tuple[str, str]:
-    """The paths of the other kind, inner or outer, that share a context with ``name``."""
-    other = OUTER_PATHS if name in INNER_PATHS else INNER_PATHS
-    pair = (p for c in CONTEXTS if name in c.members for p in c.members if p in other)
-    return tuple(pair)  # type: ignore[return-value]
-
-
-@_per_system
-def _canonical_states_cached(system: PathSystem) -> tuple[NamedState, ...]:
-    return (
-        *(NamedState(n, system.ray(n), _path_definition(n)) for n in PATH_NAMES),
-        *(n_state(name.removeprefix("N_"), system) for name in N_STATE_ORDER),
-        *(theta_state(name.removeprefix("theta_"), system) for name in THETA_ORDER),
-    )
+    return probabilities(n_state(i, system).ray, system)[i]
 
 
 def canonical_states(system: PathSystem | None = None) -> dict[str, NamedState]:
@@ -143,12 +142,13 @@ def canonical_states(system: PathSystem | None = None) -> dict[str, NamedState]:
     Built once per system; each call returns a fresh dict, so a caller
     that changes it changes no later result.
     """
-    return {s.name: s for s in _canonical_states_cached(system)}
+    return dict(islice(_named_states(system)[0].items(), _CANONICAL))
 
 
 def resolve_state(name: str, system: PathSystem | None = None) -> NamedState:
     """Look up any named state, including the three joint basis states."""
-    for state in (*canonical_states(system).values(), *joint_basis(system)):
-        if state.name == name:
-            return state
-    raise UnknownPathError(f"unknown state name {name!r}")
+    named = _named_states(system)[0]
+    try:
+        return named[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise UnknownPathError(f"unknown state name {name!r}") from None

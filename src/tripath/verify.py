@@ -307,8 +307,7 @@ def _judge(detail: str, comparisons: Iterable[Comparison]) -> tuple[bool, str]:
 
 def run_checks() -> list[CheckResult]:
     system = interferometer.default_system()
-    rays = {name: st.ray for name, st in states.canonical_states(system).items()}
-    rays.update({b.name: b.ray for b in states.joint_basis(system)})
+    rays = {name: st.ray for name, st in states._named_states(system)[0].items()}
     rays["T(2,f)"] = hilbert.normalize(_form(T2F_FORM))
     results = []
     for ident, description, detail, comparisons in _ROWS:

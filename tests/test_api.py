@@ -1,12 +1,13 @@
 import math
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tripath
-from tripath import atlas, classify, hilbert, interferometer, kd
+from tripath import atlas, classify, hilbert, interferometer, kd, states
 from tripath.classify import ClassLabel
 from tripath.errors import (
     DegeneratePairError,
@@ -195,9 +196,27 @@ def test_tol_past_the_float_range_reads_as_inf():
         lambda: kd.decompose_outer(hilbert.normalize([1, 0, 0]), ["1"]),
         lambda: _PROFILE.value(["1"], "f"),
         lambda: classify.mirror_label(ClassLabel("B", ("1", "Z"))),
+        # the named states are looked up in a dict, where a list name raises TypeError
+        lambda: states.resolve_state(["1"]),
+        lambda: states.n_state(["1"]),
+        lambda: states.theta_state(["1"]),
     ],
-    ids=["decompose-outer-list", "profile-value-list", "mirror-label-unknown-path"],
+    ids=[
+        "decompose-outer-list", "profile-value-list", "mirror-label-unknown-path",
+        "resolve-state-list", "n-state-list", "theta-state-list",
+    ],
 )
 def test_path_names_that_are_not_paths_raise_unknown_path_error(call):
     with pytest.raises(UnknownPathError, match=r"\['1'\]|'Z'"):
         call()
+
+
+def test_readme_library_example_prints_its_commented_values(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    value, labels, violation, minimum = capsys.readouterr().out.splitlines()
+    assert float(value) == pytest.approx(6 / 11, abs=1e-12)
+    assert labels.startswith("frozenset({ClassLabel(")
+    assert float(violation) == pytest.approx(math.sqrt(11 / 12) - 1 / 2, abs=1e-12)
+    assert float(minimum) == pytest.approx(-1 / 8, abs=1e-12)

@@ -104,12 +104,21 @@ def test_each_context_holds_one_inner_and_two_outer_paths():
         assert sum(m in itf.OUTER_PATHS for m in ctx.members) == 2, ctx.name
 
 
-def test_opposite_outer_is_not_adjacent(system):
-    def sharing_a_context(p):
-        return {q for ctx in itf.CONTEXTS if p in ctx.members for q in ctx.members}
+def sharing_a_context(p):
+    return {q for ctx in itf.CONTEXTS if p in ctx.members for q in ctx.members}
 
-    assert sorted(itf.OPPOSITE_OUTER) == sorted(itf.INNER_PATHS)
-    for k, i in itf.OPPOSITE_OUTER.items():
+
+def opposite_outer():
+    """Inner path k -> its opposite outer path, read from the theta rows of states.DEFINITIONS."""
+    pairs = {name.removeprefix("theta_"): states.DEFINITIONS[name] for name in states.THETA_ORDER}
+    assert all(k == pair[0] for k, pair in pairs.items())
+    return {k: i for k, (_, i) in pairs.items()}
+
+
+def test_opposite_outer_is_not_adjacent(system):
+    opposite = opposite_outer()
+    assert sorted(opposite) == sorted(itf.INNER_PATHS)
+    for k, i in opposite.items():
         # the opposite outer path never shares a context with k ...
         assert i not in sharing_a_context(k)
         # ... and is the one outer path that shares none with either outer member of k's context
@@ -119,6 +128,18 @@ def test_opposite_outer_is_not_adjacent(system):
         # and their overlap is strictly between 0 and 1
         g = abs(inner(system.ray(k), system.ray(i)))
         assert 1e-6 < g < 1 - 1e-6
+
+
+def test_n_corner_pairs_sit_opposite_the_rim_neighbours():
+    # N_i is orthogonal to the two inner paths whose opposite outer paths
+    # are i's rim neighbours, the outer paths that share a context with i
+    opposite = opposite_outer()
+    assert sorted(states.N_STATE_ORDER) == sorted(f"N_{i}" for i in itf.OUTER_PATHS)
+    for i in itf.OUTER_PATHS:
+        pair = states.DEFINITIONS[f"N_{i}"]
+        neighbours = {p for p in sharing_a_context(i) if p in itf.OUTER_PATHS} - {i}
+        assert len(neighbours) == 2 and all(p in itf.INNER_PATHS for p in pair)
+        assert {opposite[p] for p in pair} == neighbours, i
 
 
 def test_probabilities_sum_to_one_per_context(system, rng):

@@ -10,7 +10,7 @@ an exact rational that the float kernel is checked against.
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, sqrt
 
 import numpy as np
 import pytest
@@ -199,25 +199,50 @@ def test_kernel_matches_exact_rationals(abxw, bound):
         assert abs(Fraction(kd.inequality_sum(state, system)) - inner) < bound * inner, psi
 
 
-@pytest.mark.parametrize("abxw", PENTAGONS, ids=pentagon_id)
-def test_named_state_claims_hold_exactly(abxw):
-    # an N corner or a theta state is the cross product of the integer
-    # directions of its two defining paths, so its KD values are Fractions
+def exact_named_directions(k):
+    """Primitive integer directions of the 23 named states, as object arrays of Python ints.
+
+    ``k`` holds the ten integer path directions in PATH_NAMES order.  Each
+    state of ``states.DEFINITIONS``, in order, is the cross product of its
+    two defining states, divided by its gcd: unreduced, T(1,f) at
+    (1, 300, 1, 1) has entries of 7.3e14 and a squared norm of 1.1e30,
+    beyond int64.
+    """
+    dirs = {name: np.array(row, dtype=object) for name, row in zip(PATH_NAMES, k.tolist())}
+    for name, (a, b) in states.DEFINITIONS.items():
+        w = np.cross(dirs[a], dirs[b])
+        dirs[name] = w // gcd(*w.tolist())
+    return dirs
+
+
+# Largest distances from the library's rays: 2.3e-16 at PENTAGONS, 2.9e-15 at
+# FAR_PENTAGONS.  Largest Hardy value error: 5.5e-17.
+@pytest.mark.parametrize(
+    ("abxw", "bound"),
+    [(p, 1e-15) for p in PENTAGONS] + [(p, 1e-14) for p in FAR_PENTAGONS],
+    ids=map(pentagon_id, PENTAGONS + FAR_PENTAGONS),
+)
+def test_named_state_claims_hold_exactly(abxw, bound):
+    # every derived state is the cross product of the integer directions of
+    # its two defining states, so its KD values are Fractions
     k, spec = pentagon(*abxw)
     system = interferometer.build(spec)
-    dirs = dict(zip(PATH_NAMES, k))
-    named = states.canonical_states(system)
+    dirs = exact_named_directions(k)
     inner_sums = {}
-    for name in (*states.N_STATE_ORDER, *states.THETA_ORDER):
-        psi = np.cross(*(dirs[p] for p in named[name].orthogonal_to))
-        assert same_ray(named[name].ray, psi / np.linalg.norm(psi), 1e-15), name
+    for name in states.DEFINITIONS:
+        psi = dirs[name]
+        unit = psi.astype(float) / sqrt(psi @ psi)
+        assert same_ray(states.resolve_state(name, system).ray, unit, bound), name
         if name in states.THETA_ORDER:
             # four KD values carry unit weight
-            unit = list(THETA_PROFILES[name])[:4]
-            assert sum(exact_rho(dirs[a], dirs[b], psi) for a, b in unit) == 1, name
-        else:
+            weights = list(THETA_PROFILES[name])[:4]
+            assert sum(exact_rho(dirs[a], dirs[b], psi) for a, b in weights) == 1, name
+        elif name in states.N_STATE_ORDER:
             inner_sums[name] = sum(exact_rho(dirs[p], dirs[p], psi) for p in INNER_PATHS)
             assert inner_sums[name] < 1, name
+            # the Hardy value P_i(N_i) is a Fraction too
+            i = name.removeprefix("N_")
+            assert abs(Fraction(states.hardy_value(i, system)) - exact_rho(dirs[i], dirs[i], psi)) < 1e-15, name
     if abxw == (1, 1, 1, 1):
         want = {"N_f": (7, 9), "N_1": (9, 11), "N_2": (9, 11), "N_S1": (4, 5), "N_S2": (4, 5)}
         assert inner_sums == {name: Fraction(*w) for name, w in want.items()}

@@ -6,8 +6,9 @@ import pytest
 from tripath import states
 from tripath.errors import UnknownPathError
 from tripath.hilbert import inner, normalize, same_ray
+from tripath.interferometer import INNER_PATHS, OUTER_PATHS, default_system
 
-from conftest import random_unit_vectors
+from conftest import closing_system, random_unit_vectors
 
 S2 = math.sqrt(2.0)
 S3 = math.sqrt(3.0)
@@ -72,11 +73,9 @@ def test_theta_d2_is_not_the_misprint(system):
 
 
 def test_theta_defining_orthogonality(system):
-    from tripath.interferometer import OPPOSITE_OUTER
-
     for k in ("3", "D1", "P1", "P2", "D2"):
         s = states.theta_state(k, system)
-        assert set(s.orthogonal_to) == {k, OPPOSITE_OUTER[k]}
+        assert s.orthogonal_to == states.DEFINITIONS[f"theta_{k}"] and s.orthogonal_to[0] == k
         for p in s.orthogonal_to:
             assert abs(inner(s.ray, system.ray(p))) < 1e-12
 
@@ -157,6 +156,20 @@ def test_hardy_values(system):
     assert states.hardy_value("2", system) == pytest.approx(1 / 11, abs=1e-12)
     assert states.hardy_value("S1", system) == pytest.approx(1 / 10, abs=1e-12)
     assert states.hardy_value("S2", system) == pytest.approx(1 / 10, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [default_system(), closing_system(0.4, 0.3)], ids=["default", "closing"])
+def test_named_states_are_built_once_per_system(s):
+    states.joint_basis(s)
+    for r1 in (0.1, 0.2, 0.3, 0.6):  # four other systems evict s from the per-system memo
+        states.canonical_states(closing_system(r1, 0.5))
+    named = states.canonical_states(s)
+    for i in OUTER_PATHS:
+        assert states.n_state(i, s) is states.resolve_state(f"N_{i}", s) is named[f"N_{i}"]
+    for k in INNER_PATHS:
+        assert states.theta_state(k, s) is states.resolve_state(f"theta_{k}", s) is named[f"theta_{k}"]
+    for b, name in zip(states.joint_basis(s), BASIS_EXPECTED, strict=True):
+        assert b is states.resolve_state(name, s)
 
 
 def test_resolve_state(system):
