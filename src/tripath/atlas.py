@@ -201,30 +201,32 @@ def sample_atlas(
 
 def render(
     grid: AtlasGrid | None, fmt: str = "raster", system: PathSystem | None = None
-) -> bytearray | str:
-    """Render the chart; ``raster`` gives the PPM file as a bytearray, ``vector`` SVG text.
+) -> memoryview | str:
+    """Render the chart; ``raster`` gives the PPM file as a memoryview, ``vector`` SVG text.
 
-    Raster output needs a sampled grid.  Vector output draws the region
-    boundaries analytically from the path system alone, once per system.
+    Raster output needs a sampled grid, and its view is read-only.  Vector output
+    draws the region boundaries analytically from the path system alone, once per system.
     """
     if fmt == "raster":
         if grid is None:
             raise InvalidInputError("raster rendering needs a sampled grid")
+        if not isinstance(grid, AtlasGrid):
+            raise InvalidInputError(f"raster rendering needs an AtlasGrid, got {type(grid).__name__}")
         return _render_ppm(grid)
     if fmt == "vector":
         return _render_svg(system)
     raise UnsupportedFormatError(f"unknown atlas format {fmt!r}")
 
 
-def _render_ppm(grid: AtlasGrid) -> bytearray:
+def _render_ppm(grid: AtlasGrid) -> memoryview:
     table = np.concatenate([PALETTE, np.uint8([[255, 255, 255], [0, 0, 0]])])  # rows -2, -1: EXTERIOR, BOUNDARY
     res = grid.resolution
     header = f"P6\n{res} {res}\n255\n".encode("ascii")
-    # one store per pixel: R | G << 8 | B << 16 as a little-endian 4-byte word,
-    # written in address order, so the next pixel's red overwrites each spare
-    # byte; the last one falls on a byte past the PPM, dropped at the end
-    out = bytearray(len(header) + 3 * res * res + 1)
-    out[: len(header)] = header
+    # one store per pixel, into a buffer with no zero fill: R | G << 8 | B << 16
+    # as a little-endian 4-byte word, in address order, so the next pixel's red
+    # overwrites each spare byte; the last one falls past the PPM, outside the view
+    out = np.empty(len(header) + 3 * res * res + 1, np.uint8)
+    out[: len(header)] = np.frombuffer(header, np.uint8)
     pixel = np.ndarray(res * res, "<u4", buffer=out, offset=len(header), strides=3)
     words, lengths = np.pad(table, ((0, 0), (0, 1))).view("<u4")[grid.values, 0], grid.lengths
     # every row starts a run, so a block of whole rows is a slice of runs
@@ -232,9 +234,8 @@ def _render_ppm(grid: AtlasGrid) -> bytearray:
     runs = np.searchsorted(grid.starts, pixels)
     for a, b, i, j in zip(pixels[:-1], pixels[1:], runs[:-1], runs[1:]):
         pixel[a:b] = np.repeat(words[i:j], lengths[i:j])
-    del pixel  # release the view, so the bytearray can shrink
-    del out[-1]
-    return out
+    out.flags.writeable = False
+    return memoryview(out)[:-1]
 
 
 _SVG_SAMPLES = 720

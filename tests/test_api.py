@@ -43,6 +43,7 @@ def test_all_lists_exactly_the_public_names():
         (lambda: atlas.sample_atlas(True), "must be an integer"),
         (lambda: atlas.sample_atlas(atlas.MAX_RESOLUTION + 1), "at most 16384"),
         (lambda: atlas.render(None, "raster"), "needs a sampled grid"),
+        (lambda: atlas.render(object(), "raster"), "needs an AtlasGrid, got object"),
         (lambda: classify.classify(hilbert.normalize([1, 0, 0]), tol=float("nan")), "non-negative"),
         (lambda: classify.classify_batch([[1.0, 0.0, 0.0]], tol=-1e-9), "non-negative"),
         (lambda: classify.classify(hilbert.normalize([1, 0, 0]), tol="1e-9"), "number, got '1e-9'"),
@@ -61,7 +62,7 @@ def test_all_lists_exactly_the_public_names():
     ids=[
         "ray-norm", "vector-shape", "atlas-resolution",
         "atlas-resolution-float", "atlas-resolution-bool", "atlas-resolution-cap",
-        "raster-grid", "tol-nan", "tol-negative", "tol-string", "tol-none",
+        "raster-grid", "raster-grid-type", "tol-nan", "tol-negative", "tol-string", "tol-none",
         "sign-pattern-tol-nan", "sign-pattern-tol-negative", "sign-pattern-tol-string",
         "tol-bool", "batch-tol-bool", "atlas-tol-bool", "sign-pattern-tol-bool",
         "batch-shape", "batch-row", "profile-batch-shape",

@@ -245,8 +245,22 @@ def test_palette_covers_all_labels():
 def test_raster_output_shape(grid):
     ppm = atlas.render(grid, "raster")
     header = f"P6\n{grid.resolution} {grid.resolution}\n255\n".encode()
-    assert ppm.startswith(header)
+    assert ppm[: len(header)] == header
     assert len(ppm) == len(header) + 3 * grid.resolution**2
+
+
+def test_raster_is_a_read_only_bytes_view(system, tmp_path):
+    # at 1031 the last pixel's spare byte falls past the PPM, outside the view
+    ppm = atlas.render(atlas.sample_atlas(1031, system=system), "raster")
+    assert ppm.readonly
+    assert len(ppm) == len(b"P6\n1031 1031\n255\n") + 3 * 1031**2
+    data = bytes(ppm)
+    path = tmp_path / "atlas.ppm"
+    path.write_bytes(ppm)
+    assert path.read_bytes() == data == ppm
+    assert hashlib.sha256(ppm).hexdigest() == hashlib.sha256(data).hexdigest()
+    with pytest.raises(TypeError):
+        ppm[0] = 0
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ import pytest
 
 from tripath import atlas, classify, interferometer, kd, states
 from tripath.hilbert import RayState, same_ray
-from tripath.interferometer import CONTEXTS, INNER_PATHS, PATH_NAMES
+from tripath.interferometer import CONTEXTS, INNER_PATHS, OUTER_PATHS, PATH_NAMES
 from tripath.kd import KD_PAIRS
 from tripath.verify import CLOSED_FORMS, THETA_PROFILES
 
@@ -197,6 +197,29 @@ def test_kernel_matches_exact_rationals(abxw, bound):
         # the inner sum reaches 3, and five roundings add up: its bound is relative
         inner = sum(probs[name] for name in INNER_PATHS)
         assert abs(Fraction(kd.inequality_sum(state, system)) - inner) < bound * inner, psi
+
+
+@pytest.mark.parametrize(
+    ("abxw", "bound"),
+    [(p, 1e-15) for p in PENTAGONS] + [(p, 1e-14) for p in FAR_PENTAGONS],
+    ids=map(pentagon_id, PENTAGONS + FAR_PENTAGONS),
+)
+def test_decompose_outer_matches_exact_rationals(abxw, bound):
+    # each outer path's three terms run over a context orthogonal in the
+    # integer directions, so in Fractions they sum to P(i) exactly
+    k, spec = pentagon(*abxw)
+    system = interferometer.build(spec)
+    dirs = dict(zip(PATH_NAMES, k))
+    rays = primitive_rays(3)
+    units = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    for psi, u in zip(rays, units.tolist()):
+        state = RayState(*u)
+        for i in OUTER_PATHS:
+            terms = [exact_rho(dirs[a], dirs[b], psi) for a, b in kd.DECOMPOSITION_PAIRS[i]]
+            assert sum(terms) == exact_rho(dirs[i], dirs[i], psi), (i, psi)
+            got = kd.decompose_outer(state, i, system)
+            assert [frozenset((p.a, p.b)) for p, _ in got] == list(map(frozenset, kd.DECOMPOSITION_PAIRS[i]))
+            assert max(abs(Fraction(value) - w) for (_, value), w in zip(got, terms)) < bound, (i, psi)
 
 
 def exact_named_directions(k):
